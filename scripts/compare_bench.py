@@ -6,7 +6,7 @@ Usage::
     python scripts/compare_bench.py BASELINE.json FRESH.json \\
         [--max-ratio 2.0] [--min-ops-ratio 0.5] [--max-rpc-ratio 1.5]
 
-Three gates, one per direction the baseline can rot:
+Four gates, one per direction the baseline can rot:
 
 * **Simulated quality** — per (write_path, presto) cell, fail (exit 1)
   if the fresh p99 write latency exceeds ``max_ratio`` times the
@@ -23,6 +23,11 @@ Three gates, one per direction the baseline can rot:
   calls per user-level operation, repro.lease) exceeds ``max_rpc_ratio``
   times the baseline's: a client that quietly starts double-calling per
   syscall erases exactly what the cache layer bought.  Baselines
+  predating the field are skipped with a note.
+* **Simulator work** — fail if the fresh ``events_per_op`` (events the
+  kernel scheduled per server op) rises above the baseline's at all.
+  The count is deterministic, so any rise is a code change that made
+  the simulator do more work for the same simulated run.  Baselines
   predating the field are skipped with a note.
 
 Cells present in only one file fail too: a silently dropped cell would
@@ -140,6 +145,23 @@ def main(argv=None) -> int:
                     f"{label}: rpcs_per_op regressed x{rpc_ratio:.3f} "
                     f"(limit x{args.max_rpc_ratio})"
                 )
+        base_events = baseline[key].get("events_per_op")
+        fresh_events = fresh[key].get("events_per_op")
+        if base_events is None:
+            print(f"  {label:<18} events/op gate skipped (baseline lacks events_per_op)")
+        elif fresh_events is None:
+            failures.append(f"{label}: fresh run lacks events_per_op")
+        else:
+            marker = "FAIL" if fresh_events > base_events else "ok"
+            print(
+                f"  {label:<18} events/op {base_events:>8.4f} -> "
+                f"{fresh_events:>8.4f} {marker}"
+            )
+            if fresh_events > base_events:
+                failures.append(
+                    f"{label}: events_per_op rose from {base_events} to "
+                    f"{fresh_events}"
+                )
         base_ops = baseline[key].get("sim_ops_per_sec")
         fresh_ops = fresh[key].get("sim_ops_per_sec")
         if not base_ops:
@@ -166,7 +188,8 @@ def main(argv=None) -> int:
         return 1
     print(
         "bench within budget: no p99 write-latency regression, no RPC "
-        "chattiness regression, simulator throughput above floor"
+        "chattiness regression, no rise in events per op, simulator "
+        "throughput above floor"
     )
     return 0
 

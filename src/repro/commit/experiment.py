@@ -113,6 +113,10 @@ def _bench_cells(config: CommitConfig, progress=None) -> List[dict]:
             # The one wall-clock-derived field; everything else in the
             # cell is simulated and byte-stable under the seed.
             cell.pop("sim_ops_per_sec", None)
+            # The simulator's event ledger belongs to the perf baseline
+            # (repro bench); this report keeps its own schema.
+            cell.pop("events", None)
+            cell.pop("events_per_op", None)
             cells.append(cell)
             if progress is not None:
                 progress(

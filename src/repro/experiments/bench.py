@@ -2,11 +2,13 @@
 
 ``repro bench`` runs one deterministic file copy per cell of
 standard/gather/siva × Presto off/on and emits a small JSON document with
-the three numbers future PRs regress against:
+the numbers future PRs regress against:
 
 * throughput (client KB/s),
 * p50/p99 client-observed write latency (ms),
-* disk writes per MB copied (the metadata-amortization headline).
+* disk writes per MB copied (the metadata-amortization headline),
+* events the simulation kernel scheduled, in total and per server op —
+  the simulator's own cost, deterministic under the seed.
 
 CI runs it on every push and uploads ``BENCH_<n>.json`` as an artifact,
 so any perf-affecting PR has a baseline to diff against.
@@ -74,6 +76,7 @@ def run_bench_cell(
     env.run()  # drain NVRAM destage etc. so disk totals are final
     wall_seconds = time.perf_counter() - wall_started
     sim_ops = sum(counter.value for counter in testbed.server.ops_completed.values())
+    events = env.events_scheduled
     total_bytes, total_transactions = testbed.disk_stats_totals()
     disk_writes = sum(d.stats.writes.value for d in testbed.disks)
     return {
@@ -95,6 +98,8 @@ def run_bench_cell(
         # Wall-time-derived, so it is the one nondeterministic field in
         # the cell; determinism comparisons must exclude it.
         "sim_ops": int(sim_ops),
+        "events": events,
+        "events_per_op": round(events / sim_ops, 4) if sim_ops else 0.0,
         "sim_ops_per_sec": round(sim_ops / wall_seconds, 1) if wall_seconds else 0.0,
     }
 

@@ -1,9 +1,15 @@
 """A shared network segment (private Ethernet or FDDI ring).
 
 Both technologies in the paper are shared media: every frame from every
-host serializes on the one channel.  The segment models this with a single
-transmission resource acquired *per frame*, so a long request train and the
-reply traffic interleave frame-by-frame exactly as in the §5 case study.
+host serializes on the one channel.  The segment grants the medium *per
+frame*, FIFO over the hosts waiting for it, so a long request train and
+the reply traffic interleave frame-by-frame exactly as in the §5 case
+study.  Each host's NIC sends its own datagrams strictly in order.
+
+The medium is driven by callbacks, not processes: each frame is one
+timeout, and the frame's end hands the medium to the next waiting host
+directly.  The frame times and propagation delays are the modelled time;
+nothing else costs an event.
 
 Delivery places the reassembled datagram into the destination endpoint's
 socket buffer; if that buffer is full the datagram is dropped, which is how
@@ -20,15 +26,34 @@ faulty runs stay deterministic.
 from __future__ import annotations
 
 import random
-from typing import Dict, Set
+from collections import deque
+from typing import Callable, Deque, Dict, Set
 
 from repro.net.packet import Datagram
 from repro.net.spec import NetSpec
 from repro.net.udp import UdpEndpoint
 from repro.obs import PHASE_WIRE, collector_for, registry_for
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment
 
 __all__ = ["Segment"]
+
+
+class _Nic:
+    """One host's transmit side: its datagram queue and the frame in flight."""
+
+    __slots__ = ("queue", "frame", "lost", "held_at", "wire_bytes", "end_frame")
+
+    def __init__(self, segment: "Segment") -> None:
+        #: Datagrams to send, in order; the head is the one being sent.
+        self.queue: Deque[Datagram] = deque()
+        #: Index of the head datagram's next (or current) frame.
+        self.frame = 0
+        #: Whether any frame of the head datagram was lost so far.
+        self.lost = False
+        self.held_at = 0.0
+        self.wire_bytes = 0
+        #: Callback for this host's frame timeouts (made once, not per frame).
+        self.end_frame: Callable[[object], None] = lambda _event: segment._end_frame(self)
 
 
 class Segment:
@@ -49,9 +74,12 @@ class Segment:
         self.name = name or spec.name
         self.loss_rate = loss_rate
         self._rng = random.Random(seed)
-        self._medium = Resource(env, capacity=1)
         self._endpoints: Dict[str, UdpEndpoint] = {}
-        self._tx_queues: Dict[str, object] = {}
+        self._nics: Dict[str, _Nic] = {}
+        #: Whether a frame is on the medium now.
+        self._medium_busy = False
+        #: NICs waiting for the medium, first come first served.
+        self._waiting: Deque[_Nic] = deque()
         #: Hosts currently cut off the segment (fault injection).
         self._partitioned: Set[str] = set()
         #: Probability a delivered datagram is delivered twice.
@@ -77,8 +105,7 @@ class Segment:
             raise ValueError(f"host {host!r} already attached to {self.name}")
         endpoint = UdpEndpoint(self.env, host, self, buffer_bytes)
         self._endpoints[host] = endpoint
-        self._tx_queues[host] = Store(self.env)
-        self.env.process(self._host_transmitter(host), name=f"nic:{host}")
+        self._nics[host] = _Nic(self)
         return endpoint
 
     def endpoint(self, host: str) -> UdpEndpoint:
@@ -142,51 +169,71 @@ class Segment:
         """Queue ``datagram`` on its source host's NIC; returns immediately."""
         if datagram.dst not in self._endpoints:
             raise ValueError(f"unknown destination host {datagram.dst!r}")
-        if datagram.src not in self._tx_queues:
+        nic = self._nics.get(datagram.src)
+        if nic is None:
             raise ValueError(f"unknown source host {datagram.src!r}")
         datagram.fragments = self.spec.frames_for(datagram.size)
-        self._tx_queues[datagram.src].put(datagram)
+        nic.queue.append(datagram)
+        if len(nic.queue) == 1:
+            self._request_medium(nic)
 
-    def _host_transmitter(self, host: str):
-        """One host's NIC: transmits its queued datagrams strictly in order,
-        contending for the shared medium frame by frame."""
-        queue = self._tx_queues[host]
-        while True:
-            datagram = yield queue.get()
-            lost = yield from self._transmit_frames(datagram)
-            # Propagation/delivery happens off the NIC's critical path.
-            self._schedule_delivery(datagram, lost)
+    def _request_medium(self, nic: _Nic) -> None:
+        """Send ``nic``'s next frame now if the medium is free, else queue."""
+        if self._medium_busy:
+            self._waiting.append(nic)
+        else:
+            self._start_frame(nic)
 
-    def _transmit_frames(self, datagram: Datagram):
-        frames = datagram.fragments
-        frame_payload = -(-datagram.size // frames)  # even-ish split
-        lost = False
-        trace = getattr(datagram.payload, "trace", None) if self.obs.enabled else None
-        for index in range(frames):
-            payload = min(frame_payload, datagram.size - index * frame_payload)
-            wire_bytes = payload + self.spec.frame_overhead
-            with self._medium.request() as grant:
-                yield grant
-                self.utilization.begin()
-                held_at = self.env.now
-                yield self.env.timeout(wire_bytes * 8.0 / self.spec.bandwidth_bps)
-                self.utilization.end()
-                if trace is not None:
-                    self.obs.emit(
-                        PHASE_WIRE,
-                        self.name,
-                        held_at,
-                        self.env.now,
-                        trace_id=trace.trace_id,
-                        frame=index,
-                        frames=frames,
-                        bytes=wire_bytes,
-                        src=datagram.src,
-                    )
-            self.bytes_moved.add(wire_bytes)
-            if self.loss_rate and self._rng.random() < self.loss_rate:
-                lost = True  # keep transmitting; the medium time is spent
-        return lost
+    def _start_frame(self, nic: _Nic) -> None:
+        self._medium_busy = True
+        datagram = nic.queue[0]
+        frame_payload = -(-datagram.size // datagram.fragments)  # even-ish split
+        payload = min(frame_payload, datagram.size - nic.frame * frame_payload)
+        nic.wire_bytes = payload + self.spec.frame_overhead
+        nic.held_at = self.env.now
+        self.utilization.begin()
+        self.env.timeout(nic.wire_bytes * 8.0 / self.spec.bandwidth_bps).callbacks.append(
+            nic.end_frame
+        )
+
+    def _end_frame(self, nic: _Nic) -> None:
+        """A frame left the medium: pass the medium on, then move ``nic`` on."""
+        self.utilization.end()
+        datagram = nic.queue[0]
+        wire_bytes = nic.wire_bytes
+        if self.obs.enabled:
+            trace = getattr(datagram.payload, "trace", None)
+            if trace is not None:
+                self.obs.emit(
+                    PHASE_WIRE,
+                    self.name,
+                    nic.held_at,
+                    self.env.now,
+                    trace_id=trace.trace_id,
+                    frame=nic.frame,
+                    frames=datagram.fragments,
+                    bytes=wire_bytes,
+                    src=datagram.src,
+                )
+        if self._waiting:
+            self._start_frame(self._waiting.popleft())
+        else:
+            self._medium_busy = False
+        self.bytes_moved.add(wire_bytes)
+        if self.loss_rate and self._rng.random() < self.loss_rate:
+            nic.lost = True  # keep transmitting; the medium time is spent
+        nic.frame += 1
+        if nic.frame < datagram.fragments:
+            self._request_medium(nic)
+            return
+        nic.queue.popleft()
+        lost = nic.lost
+        nic.frame = 0
+        nic.lost = False
+        # Propagation/delivery happens off the NIC's critical path.
+        self._schedule_delivery(datagram, lost)
+        if nic.queue:
+            self._request_medium(nic)
 
     def _schedule_delivery(self, datagram: Datagram, lost: bool) -> None:
         """Arrange for ``datagram`` to arrive ``latency`` from now.

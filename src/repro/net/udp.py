@@ -5,6 +5,14 @@ fixed-size mbuf pool (DEC OSF/1 used at most 0.25 MB).  When it fills,
 arriving requests are silently dropped and client retransmission takes
 over.  The gathering server's "mbuf hunter" (§6.5) scans this buffer for
 additional write requests to the same file and can steal them out of order.
+
+A datagram that arrives while a reader is parked on the buffer goes to it
+at once: the delivery itself is the reader's wakeup.  A ``get()`` that
+finds datagrams already queued still answers through the event queue, so
+work already due at that instant runs first — the nfsd does not jump
+ahead of it (that hop is part of the model, see :meth:`SocketBuffer.get`).
+An endpoint with a ``receiver`` (an RPC client) hands every datagram to
+it directly and queues nothing.
 """
 
 from __future__ import annotations
@@ -44,16 +52,35 @@ class SocketBuffer:
         if self.used_bytes + datagram.size > self.capacity_bytes:
             return False
         datagram.arrived_at = self.env.now
+        if self._getters:
+            # Readers park only on an empty buffer, so the first one is
+            # owed the datagram.  From a delivery callback the arrival is
+            # its wakeup; a datagram put from inside a process wakes it
+            # through the queue instead, as an inline resume would nest.
+            getter = self._getters.popleft()
+            if self.env.active_process is None:
+                getter.fire(datagram)
+            else:
+                getter.succeed(datagram)
+            return True
         self.items.append(datagram)
         self.used_bytes += datagram.size
-        self._dispatch()
         return True
 
     def get(self) -> Event:
-        """Wait for the oldest datagram."""
+        """Wait for the oldest datagram.
+
+        With datagrams already queued the event is triggered but still
+        *pending*: the reader resumes after the events already due at
+        this instant.  Handing the datagram over synchronously would let
+        nfsds drain the buffer ahead of same-instant work (client sends,
+        biod wakeups) and changes the modelled throughput.
+        """
         event = self.env.event()
-        self._getters.append(event)
-        self._dispatch()
+        if self.items:
+            event.succeed(self._pop())
+        else:
+            self._getters.append(event)
         return event
 
     def try_get(self) -> Optional[Datagram]:
@@ -98,11 +125,6 @@ class SocketBuffer:
         self.used_bytes -= datagram.size
         return datagram
 
-    def _dispatch(self) -> None:
-        while self._getters and self.items:
-            getter = self._getters.popleft()
-            getter.succeed(self._pop())
-
 
 class UdpEndpoint:
     """A host's attachment to a segment."""
@@ -112,6 +134,9 @@ class UdpEndpoint:
         self.host = host
         self.segment = segment
         self.inbox = SocketBuffer(env, buffer_bytes)
+        #: Optional ``receiver(datagram)`` callback taking every arrival in
+        #: place of the socket buffer (an RPC client matching replies).
+        self.receiver: Optional[Callable[[Datagram], None]] = None
 
     def send(self, dst: str, payload: Any, size: int) -> None:
         """Fire-and-forget a datagram toward ``dst``."""
@@ -119,6 +144,9 @@ class UdpEndpoint:
 
     def deliver(self, datagram: Datagram) -> bool:
         """Called by the segment; False means the socket buffer was full."""
+        if self.receiver is not None:
+            self.receiver(datagram)
+            return True
         return self.inbox.try_put(datagram)
 
     def recv(self) -> Event:

@@ -26,6 +26,7 @@ disk after server failure" clause of the SPEC baseline requirement.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from typing import List, Optional, Tuple
 
 from repro.disk.device import Storage
@@ -114,16 +115,10 @@ class PrestoCache(Storage):
             return self.backing.submit(offset, nbytes, is_write=True, kind=kind)
         done = self.env.event()
         if self._free.try_get(nbytes):
-            # Space available now: reserve synchronously and finish the
-            # NVRAM copy with a timeout callback instead of a process —
-            # one heap event per accepted write instead of a process
-            # lifecycle.  try_get also keeps FIFO fairness: it declines
+            # Space available now: reserve synchronously and start the
+            # copy.  try_get also keeps FIFO fairness: it declines
             # whenever an earlier writer is already queued for space.
-            accepted_at = self.env.now
-            timer = self.env.timeout(self.copy_overhead + nbytes / self.copy_rate)
-            timer.callbacks.append(
-                lambda _ev: self._finish_accept(done, offset, nbytes, kind, accepted_at)
-            )
+            self._copy(done, offset, nbytes, kind, self.env.now)
         else:
             self.env.process(self._accept(done, offset, nbytes, kind))
         return done
@@ -220,8 +215,17 @@ class PrestoCache(Storage):
         """Slow path: wait for the drain to free NVRAM space first."""
         accepted_at = self.env.now
         yield self._free.get(nbytes)
-        yield self.env.timeout(self.copy_overhead + nbytes / self.copy_rate)
-        self._finish_accept(done, offset, nbytes, kind, accepted_at)
+        self._copy(done, offset, nbytes, kind, accepted_at)
+
+    def _copy(
+        self, done: Event, offset: int, nbytes: int, kind: str, accepted_at: float
+    ) -> None:
+        """Copy a reserved write into NVRAM: one timer, whose callback
+        completes the write and wakes its waiter inline."""
+        timer = self.env.timeout(self.copy_overhead + nbytes / self.copy_rate)
+        timer.callbacks.append(
+            lambda _ev: self._finish_accept(done, offset, nbytes, kind, accepted_at)
+        )
 
     def _finish_accept(
         self, done: Event, offset: int, nbytes: int, kind: str, accepted_at: float
@@ -240,10 +244,7 @@ class PrestoCache(Storage):
         # Space accounting is backed by the pending (_dirty) set only: the
         # extent under drain frees its own reservation when the flush ends,
         # so a rewrite overlapping it genuinely occupies new space.
-        before = sum(end - start for start, end in self._dirty)
-        self._insert_extent(offset, offset + nbytes)
-        grown = sum(end - start for start, end in self._dirty) - before
-        surplus = nbytes - grown
+        surplus = nbytes - self._insert_extent(offset, offset + nbytes)
         if surplus > 0:
             # Overwrote bytes that were already dirty: give the space back.
             # This always fits (the bytes came out of our own reservation),
@@ -252,24 +253,34 @@ class PrestoCache(Storage):
         self.stats.busy.add_busy(self.copy_overhead + nbytes / self.copy_rate)
         self.stats.record(nbytes, True, kind)
         self._wake_drain()
-        done.succeed()
+        done.fire()
 
-    def _insert_extent(self, start: int, end: int) -> None:
-        merged: List[Tuple[int, int]] = []
-        placed = False
-        for extent_start, extent_end in self._dirty:
-            if extent_end < start or extent_start > end:
-                if not placed and extent_start > end:
-                    merged.append((start, end))
-                    placed = True
-                merged.append((extent_start, extent_end))
-            else:
-                start = min(start, extent_start)
-                end = max(end, extent_end)
-        if not placed:
-            merged.append((start, end))
-        merged.sort()
-        self._dirty = merged
+    def _insert_extent(self, start: int, end: int) -> int:
+        """Merge ``[start, end)`` into the dirty set; return the bytes it grew.
+
+        Extents that overlap or touch the new one (as it grows by absorbing
+        them) merge into it.  The dirty set is sorted and disjoint, so those
+        extents are one contiguous run, and bisect finds where it begins.
+        """
+        dirty = self._dirty
+        first = bisect_left(dirty, (start,))
+        if first and dirty[first - 1][1] >= start:
+            first -= 1  # the extent before reaches ``start``
+            start = dirty[first][0]
+        index = first
+        covered = 0
+        while index < len(dirty) and dirty[index][0] <= end:
+            extent_start, extent_end = dirty[index]
+            end = max(end, extent_end)
+            covered += extent_end - extent_start
+            index += 1
+        dirty[first:index] = [(start, end)]
+        return end - start - covered
+
+    def _next_drain_index(self) -> int:
+        """The first dirty extent at or past the drain cursor; wrap to 0."""
+        index = bisect_left(self._dirty, (self._drain_cursor,))
+        return index if index < len(self._dirty) else 0
 
     def _wake_drain(self) -> None:
         if not self._dirty_signal.triggered:
@@ -307,14 +318,7 @@ class PrestoCache(Storage):
             budget = pending - target
             drained = 0.0
             while self._dirty and drained < budget:
-                index = next(
-                    (
-                        i
-                        for i, (start, _end) in enumerate(self._dirty)
-                        if start >= self._drain_cursor
-                    ),
-                    0,  # wrap the sweep
-                )
+                index = self._next_drain_index()
                 start, end = self._dirty[index]
                 take = min(end - start, self.max_flush)
                 chunk_end = start + take

@@ -28,9 +28,13 @@ the client half of ``repro.overload``:
 
 from __future__ import annotations
 
-import random
 from typing import Dict, Optional
 
+# The jitter draw lives with the RPC client that arms the timers.  This
+# module depends on repro.rpc and never the reverse, which keeps the
+# import graph acyclic (repro.overload's package init pulls in
+# repro.rpc through the admission queue).
+from repro.rpc.client import retransmit_jitter
 from repro.rpc.messages import CLASS_HEAVY, CLASS_LIGHT, CLASS_MEDIUM
 
 __all__ = ["RtoEstimator", "AdaptiveRetryPolicy", "retransmit_jitter"]
@@ -38,20 +42,6 @@ __all__ = ["RtoEstimator", "AdaptiveRetryPolicy", "retransmit_jitter"]
 #: Cap on the exponential-backoff exponent (2**16 · ceiling is already
 #: astronomically past any ceiling clamp; this just bounds the arithmetic).
 MAX_BACKOFF_EXPONENT = 16
-
-
-def retransmit_jitter(seed: int, host: str, xid: int, attempt: int, spread: float) -> float:
-    """Deterministic multiplicative jitter for one (re)transmission timer.
-
-    Returns a factor in ``[1 - spread, 1 + spread]`` drawn from an RNG
-    keyed on ``(seed, host, xid, attempt)`` — independent of call
-    ordering, so same-seed runs are byte-identical while distinct clients
-    (and distinct retries) decorrelate.
-    """
-    if spread <= 0.0:
-        return 1.0
-    rng = random.Random(f"{seed}/{host}/{xid}/{attempt}")
-    return 1.0 + rng.uniform(-spread, spread)
 
 
 class RtoEstimator:

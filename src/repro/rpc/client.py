@@ -12,8 +12,10 @@ with respect to other types of requests").
 from __future__ import annotations
 
 import itertools
+import random
 from typing import Any, Dict, Generator, Optional
 
+from repro.net.packet import Datagram
 from repro.net.udp import UdpEndpoint
 from repro.obs import PHASE_RPC, Trace, collector_for, registry_for
 from repro.rpc.messages import (
@@ -25,7 +27,7 @@ from repro.rpc.messages import (
 )
 from repro.sim import Environment, Event
 
-__all__ = ["RpcClient", "RpcTimeoutPolicy", "RpcTimeoutError"]
+__all__ = ["RpcClient", "RpcTimeoutPolicy", "RpcTimeoutError", "retransmit_jitter"]
 
 #: Reference-port initial retransmission interval.
 INITIAL_TIMEOUT = 1.1
@@ -33,6 +35,20 @@ INITIAL_TIMEOUT = 1.1
 #: Cap on the doubling exponent so the uncapped product never overflows
 #: into absurd floats before the ceiling clamp is applied.
 MAX_BACKOFF_EXPONENT = 16
+
+
+def retransmit_jitter(seed: int, host: str, xid: int, attempt: int, spread: float) -> float:
+    """Deterministic multiplicative jitter for one (re)transmission timer.
+
+    Returns a factor in ``[1 - spread, 1 + spread]`` drawn from an RNG
+    keyed on ``(seed, host, xid, attempt)`` — independent of call
+    ordering, so same-seed runs are byte-identical while distinct clients
+    (and distinct retries) decorrelate.
+    """
+    if spread <= 0.0:
+        return 1.0
+    rng = random.Random(f"{seed}/{host}/{xid}/{attempt}")
+    return 1.0 + rng.uniform(-spread, spread)
 
 
 class RpcTimeoutError(Exception):
@@ -88,10 +104,12 @@ class RpcTimeoutPolicy:
 
     def interval_for(self, weight: str, attempt: int, host: str, xid: int) -> float:
         """The (optionally jittered) interval the client actually arms."""
-        from repro.overload.rto import retransmit_jitter
-
-        factor = retransmit_jitter(self.jitter_seed, host, xid, attempt, self.jitter)
-        return self.timeout_for(weight, attempt) * factor
+        interval = self.timeout_for(weight, attempt)
+        if not self.jitter:
+            return interval  # the factor would be exactly 1.0
+        return interval * retransmit_jitter(
+            self.jitter_seed, host, xid, attempt, self.jitter
+        )
 
     def observe(self, weight: str, latency: float, retransmitted: bool = False) -> None:
         """Fold a measured round-trip into the class's base interval.
@@ -148,6 +166,8 @@ class RpcClient:
         #: reply result.  None (the default) drops such calls as stray
         #: traffic, the pre-lease behaviour.
         self.on_call = None
+        #: xid -> the current attempt's wakeup: fired with the reply, or
+        #: with None when the attempt's timer expires first.
         self._pending: Dict[int, Event] = {}
         self.obs = collector_for(env)
         metrics = registry_for(env)
@@ -157,7 +177,9 @@ class RpcClient:
         self.duplicate_replies = metrics.counter(f"{prefix}.duplicate_replies")
         self.timeouts = metrics.counter(f"{prefix}.timeouts")
         self.latency = metrics.tally(f"{prefix}.latency")
-        env.process(self._receiver(), name=f"rpc-recv:{endpoint.host}")
+        if endpoint.receiver is not None:
+            raise ValueError(f"endpoint {endpoint.host!r} already has a receiver")
+        endpoint.receiver = self._receive
 
     def call(
         self,
@@ -209,8 +231,6 @@ class RpcClient:
         )
         destination = server or self.server
         budget = max_attempts if max_attempts is not None else self.policy.max_attempts
-        reply_event = self.env.event()
-        self._pending[xid] = reply_event
         started = self.env.now
         try:
             while True:
@@ -220,18 +240,16 @@ class RpcClient:
                 interval = self.policy.interval_for(
                     weight, call.attempt, self.endpoint.host, xid
                 )
-                # Wait for reply-or-timer with two plain callbacks instead
-                # of an AnyOf condition: same wakeup order, no per-attempt
-                # condition object, tuple, or result-dict churn.
+                # Whichever comes first — the reply (see _receive) or this
+                # attempt's timer — fires the wakeup inline; the later one
+                # finds it triggered and does nothing.
                 wait = Event(self.env)
-
-                def _first(_event: Event, w: Event = wait) -> None:
-                    if not w.triggered:
-                        w.succeed(_event is reply_event)
-
-                self.env.timeout(interval).callbacks.append(_first)
-                reply_event.callbacks.append(_first)
-                if (yield wait):
+                self._pending[xid] = wait
+                self.env.timeout(interval).callbacks.append(
+                    lambda _event, w=wait: w.triggered or w.fire()
+                )
+                reply = yield wait
+                if reply is not None:
                     break
                 self.timeouts.add(1)
                 self.policy.on_timeout(weight)
@@ -260,28 +278,27 @@ class RpcClient:
                 attempts=call.attempt,
                 **trace.attrs,
             )
-        return reply_event.value
+        return reply
 
-    def _receiver(self):
-        while True:
-            datagram = yield self.endpoint.recv()
-            reply = datagram.payload
-            if not isinstance(reply, RpcReply):
-                if isinstance(reply, RpcCall) and self.on_call is not None:
-                    # A server-initiated call (lease recall): serve it in
-                    # its own process so the receiver loop keeps draining.
-                    self.env.process(
-                        self._serve_callback(reply),
-                        name=f"rpc-cb:{self.endpoint.host}",
-                    )
-                continue  # stray traffic
-            waiter = self._pending.get(reply.xid)
-            if waiter is None or waiter.triggered:
-                # Reply to a request we already gave up on / answered: a
-                # duplicate generated by our own retransmission.
-                self.duplicate_replies.add(1)
-                continue
-            waiter.succeed(reply)
+    def _receive(self, datagram: Datagram) -> None:
+        """The endpoint's receiver: match one arriving datagram to its call."""
+        reply = datagram.payload
+        if not isinstance(reply, RpcReply):
+            if isinstance(reply, RpcCall) and self.on_call is not None:
+                # A server-initiated call (lease recall): serve it in its
+                # own process.
+                self.env.process(
+                    self._serve_callback(reply),
+                    name=f"rpc-cb:{self.endpoint.host}",
+                )
+            return  # otherwise stray traffic
+        waiter = self._pending.get(reply.xid)
+        if waiter is None or waiter.triggered:
+            # Reply to a request we already gave up on / answered: a
+            # duplicate generated by our own retransmission.
+            self.duplicate_replies.add(1)
+            return
+        waiter.fire(reply)
 
     def _serve_callback(self, call: RpcCall):
         """Run the on_call handler and send its result back as the reply.

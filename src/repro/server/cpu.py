@@ -8,50 +8,56 @@ and CPU contention naturally degrades service when the server saturates.
 
 from __future__ import annotations
 
-from typing import Generator
+from collections import deque
+from typing import Deque, Generator, Tuple
 
-from repro.sim import Environment, Resource, UtilizationMeter
-from repro.sim.resources import Request
+from repro.sim import Environment, Event, UtilizationMeter
 
 __all__ = ["Cpu"]
 
 
 class Cpu:
-    """A (possibly multi-core) CPU shared by all server work."""
+    """A (possibly multi-core) CPU shared by all server work.
+
+    A FIFO pool of cores driven by callbacks: each hold is one timeout
+    whose callback frees the core, starts the next queued hold on it and
+    resumes the holder — no request or grant events.
+    """
 
     def __init__(self, env: Environment, cores: int = 1) -> None:
         if cores < 1:
             raise ValueError(f"cores must be >= 1, got {cores}")
         self.env = env
         self.cores = cores
-        self._resource = Resource(env, capacity=cores)
         self.meter = UtilizationMeter(env, "cpu")
+        self._busy = 0
+        #: Holds waiting for a core, as (seconds, holder's wakeup).
+        self._queue: Deque[Tuple[float, Event]] = deque()
 
     def consume(self, seconds: float) -> Generator:
         """Hold one core for ``seconds`` of work."""
         if seconds <= 0:
             return
-        resource = self._resource
-        meter = self.meter
-        if not resource.queue and len(resource.users) < resource.capacity:
-            # Uncontended: claim the slot directly.  The Request still
-            # allocates its event id (so scheduling order matches the
-            # general path exactly) but skips the grant-event round trip.
-            claim = Request(resource)
-            claim._granted = True
-            resource.users.append(claim)
-            meter.begin()
-            try:
-                yield self.env.timeout(seconds)
-                meter.end()
-            finally:
-                resource.release(claim)
-            return
-        with resource.request() as grant:
-            yield grant
-            meter.begin()
-            yield self.env.timeout(seconds)
-            meter.end()
+        wakeup = Event(self.env)
+        if self._busy < self.cores:
+            self._start(seconds, wakeup)
+        else:
+            self._queue.append((seconds, wakeup))
+        yield wakeup
+
+    def _start(self, seconds: float, wakeup: Event) -> None:
+        self._busy += 1
+        self.meter.begin()
+        self.env.timeout(seconds).callbacks.append(
+            lambda _event: self._finish(wakeup)
+        )
+
+    def _finish(self, wakeup: Event) -> None:
+        self.meter.end()
+        self._busy -= 1
+        if self._queue:
+            self._start(*self._queue.popleft())
+        wakeup.fire()
 
     def utilization(self) -> float:
         """Busy fraction in [0, 1]; for multi-core, mean busy cores / cores."""

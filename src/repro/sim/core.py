@@ -41,7 +41,21 @@ thousands of events), so the representation is tuned:
   same-instant ordering needs one integer compare instead of two;
 * resources and stores may hand back *synchronously processed* events
   (``callbacks is None`` before ever touching the queue) for uncontended
-  grants; :meth:`Process._resume` consumes those without a scheduler round.
+  grants; :meth:`Process._resume` consumes those without a scheduler round;
+* a plain callback that only relays a wakeup fires the waiting event with
+  :meth:`Event.fire`, which runs its callbacks (and so resumes its waiter)
+  at once instead of pushing it through the heap.
+
+Heap events are kept wherever they model something: a timeout (frame end,
+propagation, CPU hold, disk service, think time), or a same-instant hop
+that deliberately lets other work at that instant run first (a process
+start, a process end, a ``succeed()``).  :meth:`Event.fire` is reserved
+for hops that relay a wakeup from one callback to one waiter and so
+model nothing.  The rule that keeps this safe is **no nested resumes**:
+:meth:`Event.fire` raises :class:`SimError` while a process is being
+resumed, so a process is only ever resumed by the run loop or by a
+callback the run loop is running, never from inside another process's
+step.
 """
 
 from __future__ import annotations
@@ -158,6 +172,30 @@ class Event:
         env = self.env
         env._eid += 1
         heapq.heappush(env._queue, (env._now, _NORMAL_BIAS + env._eid, self))
+        return self
+
+    def fire(self, value: Any = None) -> "Event":
+        """Succeed with ``value`` and run the callbacks *now*, off the queue.
+
+        For plain callbacks (a timer's, a delivery's) that only relay a
+        wakeup: the waiter resumes inside the calling callback, with no
+        heap round trip.  Calling it while a process is being resumed
+        raises :class:`SimError` — that would nest one process's step
+        inside another's.
+        """
+        env = self.env
+        if env._active_process is not None:
+            raise SimError(
+                f"{self!r} fired inline while {env._active_process!r} is running"
+            )
+        if self._value is not _PENDING:
+            raise SimError(f"{self!r} has already been triggered")
+        self._ok = True
+        self._value = value
+        callbacks = self.callbacks
+        self.callbacks = None
+        for callback in callbacks:
+            callback(self)
         return self
 
     def _finish_now(self, value: Any = None) -> "Event":
@@ -412,6 +450,16 @@ class Environment:
     def active_process(self) -> Optional[Process]:
         """The process currently being resumed, if any."""
         return self._active_process
+
+    @property
+    def events_scheduled(self) -> int:
+        """How many events have been put on the queue so far.
+
+        A deterministic measure of the kernel's work: same seed, same
+        count.  Events fired inline with :meth:`Event.fire` never touch
+        the queue and are not counted.
+        """
+        return self._eid
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if the queue is empty."""

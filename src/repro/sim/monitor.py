@@ -179,21 +179,33 @@ class UtilizationMeter:
         self._slot_seconds = TimeWeighted(env, 0.0)
         self._start = env.now
 
+    # begin()/end() run once per frame, CPU hold and disk transfer, so they
+    # do TimeWeighted.adjust(±1) inline: the same float operations in the
+    # same order, without the two method calls.
+
     def begin(self) -> None:
         """Mark the start of a busy interval."""
+        now = self.env._now
         if self._active == 0:
-            self._busy_since = self.env.now
+            self._busy_since = now
         self._active += 1
-        self._slot_seconds.adjust(1)
+        slots = self._slot_seconds
+        slots._area += slots._value * (now - slots._last_change)
+        slots._value = slots._value + 1
+        slots._last_change = now
 
     def end(self) -> None:
         """Mark the end of a busy interval."""
         if self._active <= 0:
             raise SimError(f"UtilizationMeter {self.name!r}: end() without begin()")
+        now = self.env._now
         self._active -= 1
-        self._slot_seconds.adjust(-1)
+        slots = self._slot_seconds
+        slots._area += slots._value * (now - slots._last_change)
+        slots._value = slots._value - 1
+        slots._last_change = now
         if self._active == 0:
-            self._busy_time += self.env.now - self._busy_since
+            self._busy_time += now - self._busy_since
 
     def add_busy(self, seconds: float) -> None:
         """Directly account ``seconds`` of busy time (non-overlapping use)."""

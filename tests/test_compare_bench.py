@@ -27,6 +27,7 @@ def cell(write_path="gather", presto=False, p99=5.0, **extra):
         "write_latency_ms": {"p50": 2.0, "p99": p99},
         "sim_ops_per_sec": 1000.0,
         "rpcs_per_op": 1.5,
+        "events_per_op": 20.0,
     }
     payload.update(extra)
     return payload
@@ -104,8 +105,24 @@ def test_baseline_lacking_optional_fields_skips_those_gates(tmp_path, capsys):
     baseline_cell = cell()
     del baseline_cell["sim_ops_per_sec"]
     del baseline_cell["rpcs_per_op"]
+    del baseline_cell["events_per_op"]
     # The fresh run *adding* them back is the tolerated direction.
     assert run(tmp_path, report(baseline_cell), report(cell())) == 0
     out = capsys.readouterr().out
     assert "ops/s gate skipped" in out
     assert "rpc/op gate skipped" in out
+    assert "events/op gate skipped" in out
+
+
+def test_any_rise_in_events_per_op_fails(tmp_path, capsys):
+    # The count is deterministic, so the gate has no tolerance: even a
+    # hundredth of an event more per op is more simulator work.
+    fresh = cell(events_per_op=20.01)
+    assert run(tmp_path, report(cell()), report(fresh)) == 1
+    err = capsys.readouterr().err
+    assert "events_per_op rose from 20.0 to 20.01" in err
+
+
+def test_fewer_events_per_op_passes(tmp_path, capsys):
+    assert run(tmp_path, report(cell()), report(cell(events_per_op=12.5))) == 0
+    assert "events/op  20.0000 ->  12.5000 ok" in capsys.readouterr().out

@@ -188,3 +188,66 @@ def test_property_everything_accepted_is_eventually_on_disk(writes):
     env.run()
     assert presto.dirty_bytes == 0
     assert disk.stats.bytes.value >= len(covered) * KB
+
+
+def _reference_insert(dirty, start, end):
+    """The original linear merge: rebuild and re-sort the whole list."""
+    merged = []
+    placed = False
+    for extent_start, extent_end in dirty:
+        if extent_end < start or extent_start > end:
+            if not placed and extent_start > end:
+                merged.append((start, end))
+                placed = True
+            merged.append((extent_start, extent_end))
+        else:
+            start = min(start, extent_start)
+            end = max(end, extent_end)
+    if not placed:
+        merged.append((start, end))
+    merged.sort()
+    return merged
+
+
+def _extents_from_gaps(pieces):
+    """Sorted, disjoint extents; a zero gap makes two of them touch."""
+    extents, cursor = [], 0
+    for gap, length in pieces:
+        start = cursor + gap
+        extents.append((start, start + length))
+        cursor = start + length
+    return extents
+
+
+_pieces = st.lists(st.tuples(st.integers(0, 40), st.integers(1, 40)), max_size=12)
+_writes = st.lists(st.tuples(st.integers(0, 600), st.integers(1, 80)), min_size=1, max_size=25)
+
+
+@given(initial=_pieces, writes=_writes)
+@settings(max_examples=300, deadline=None)
+def test_bisect_insert_matches_the_linear_merge(initial, writes):
+    env = Environment()
+    presto, _disk = make_presto(env)
+    presto._dirty = _extents_from_gaps(initial)
+    expected = list(presto._dirty)
+    for offset, length in writes:
+        before = sum(end - start for start, end in expected)
+        expected = _reference_insert(expected, offset, offset + length)
+        grown = sum(end - start for start, end in expected) - before
+        assert presto._insert_extent(offset, offset + length) == grown
+        assert presto._dirty == expected
+
+
+@given(initial=_pieces, cursor=st.integers(0, 1200))
+@settings(max_examples=200, deadline=None)
+def test_drain_picks_the_same_extent_as_a_linear_scan(initial, cursor):
+    env = Environment()
+    presto, _disk = make_presto(env)
+    presto._dirty = _extents_from_gaps(initial)
+    presto._drain_cursor = cursor
+    if not presto._dirty:
+        return
+    linear = next(
+        (i for i, (start, _end) in enumerate(presto._dirty) if start >= cursor), 0
+    )
+    assert presto._next_drain_index() == linear

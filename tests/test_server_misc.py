@@ -138,3 +138,27 @@ class TestServerConfig:
         testbed.server.reset_measurements()
         assert testbed.server.ops_completed["write"].value == 0
         assert testbed.server.cpu.utilization() == 0.0
+
+    def test_contended_cores_serve_fifo_with_one_timeout_per_hold(self):
+        env = Environment()
+        cpu = Cpu(env, cores=2)
+        done = []
+
+        def worker(env, name, seconds):
+            yield from cpu.consume(seconds)
+            done.append((name, env.now))
+
+        for name, seconds in (("a", 0.03), ("b", 0.01), ("c", 0.01), ("d", 0.01)):
+            env.process(worker(env, name, seconds))
+        env.run()
+        # c takes b's core when b ends; d queues behind c, not ahead of it.
+        assert done == [
+            ("b", pytest.approx(0.01)),
+            ("c", pytest.approx(0.02)),
+            ("a", pytest.approx(0.03)),
+            ("d", pytest.approx(0.03)),
+        ]
+        # Per worker: its start, one hold timeout and its end — no
+        # request or grant events.
+        assert env.events_scheduled == 4 * 3
+        assert cpu.utilization() == pytest.approx(1.0)

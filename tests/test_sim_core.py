@@ -360,3 +360,72 @@ def test_determinism_same_structure_same_trace():
         return trace
 
     assert build_and_run() == build_and_run()
+
+
+def test_fire_from_a_callback_resumes_the_waiter_inline():
+    env = Environment()
+    wakeup = env.event()
+    seen = []
+
+    def waiter(env):
+        value = yield wakeup
+        seen.append(("waiter", env.now, value))
+
+    def relay(_event):
+        wakeup.fire("go")
+        # The waiter already ran, inside this callback.
+        seen.append(("relay", env.now))
+
+    env.process(waiter(env))
+    env.timeout(2.0).callbacks.append(relay)
+    queued_before = env.events_scheduled
+    env.run()
+    assert seen == [("waiter", 2.0, "go"), ("relay", 2.0)]
+    assert wakeup.processed and wakeup.value == "go"
+    # The fired event never went through the queue: only the waiter's
+    # own end was scheduled after the timeout.
+    assert env.events_scheduled == queued_before + 1
+
+
+def test_fire_inside_a_running_process_raises():
+    env = Environment()
+    wakeup = env.event()
+    errors = []
+
+    def sleeper(env):
+        yield wakeup
+
+    def meddler(env):
+        yield env.timeout(1.0)
+        try:
+            wakeup.fire()
+        except SimError as exc:
+            errors.append(str(exc))
+
+    env.process(sleeper(env))
+    env.process(meddler(env))
+    env.run()
+    assert len(errors) == 1 and "running" in errors[0]
+    # The refused fire left the event pending for a legal trigger later.
+    assert not wakeup.triggered
+
+
+def test_fire_twice_rejected():
+    env = Environment()
+    event = env.event()
+    event.fire(1)
+    with pytest.raises(SimError):
+        event.fire(2)
+    with pytest.raises(SimError):
+        event.succeed(3)
+
+
+def test_events_scheduled_counts_queue_pushes_only():
+    env = Environment()
+    assert env.events_scheduled == 0
+    env.timeout(1.0)
+    env.event().succeed()
+    env.event().fire()  # off the queue: not counted
+    assert env.events_scheduled == 2
+    with pytest.raises(AttributeError):
+        env.events_scheduled = 0
