@@ -78,6 +78,9 @@ class FaultController:
         self._apply_extra: Optional[dict] = None
         #: The most recently applied fault record (triage context).
         self.last_applied: Optional[dict] = None
+        #: One driver process per planned event; each ends once its fault
+        #: has been applied and its window has closed.
+        self.drivers: List = []
 
     def start(self) -> "FaultController":
         """Spawn one driver process per planned event.  Call before
@@ -94,9 +97,11 @@ class FaultController:
             if isinstance(event.trigger, OnSpan):
                 waiter = _SpanWaiter(event.trigger, self.env.event())
                 self._span_waiters.append(waiter)
-            self.env.process(
-                self._drive(event, waiter),
-                name=f"fault:{self.plan.name}:{index}:{event.kind}",
+            self.drivers.append(
+                self.env.process(
+                    self._drive(event, waiter),
+                    name=f"fault:{self.plan.name}:{index}:{event.kind}",
+                )
             )
         return self
 

@@ -51,11 +51,13 @@ __all__ = ["ScrubConfig", "ScrubArm", "ScrubRunResult", "run_scrub"]
 
 SCRUB_SCHEMA = "repro.scrub/1"
 
-#: The storm timeline, placed mid-workload so the media faults land on
-#: *acked* durable blocks (striking too early only corrupts in-flight
-#: data that clients rewrite after the crash — nothing would be at
-#: stake).  Rot and latent errors hit standing data first; the torn
-#: write and NVRAM degrade arm just before the crash that cashes them.
+#: The storm timeline, late enough that the media faults land on *acked*
+#: durable blocks (striking too early only corrupts in-flight data that
+#: clients rewrite after the crash — nothing would be at stake).  Small
+#: workloads finish before it starts, so each arm waits for the storm's
+#: last event before asking the scrub to converge.  Rot and latent errors
+#: hit standing data first; the torn write and NVRAM degrade arm just
+#: before the crash that cashes them.
 BIT_ROT_AT = 0.30
 LATENT_AT = 0.35
 TORN_ARM_AT = 0.38
@@ -280,6 +282,9 @@ def run_scrub_arm(
         )
     env.run(until=AllOf(env, writers))
     elapsed = max(proc.value for proc in writers)
+    # Quiescing before the storm has landed would let the scrub converge
+    # on a clean image and stop before the faults it exists to catch.
+    env.run(until=AllOf(env, controller.drivers))
 
     # Let the scrub converge: the event fires at the end of the first
     # pass (started after this request) that finds zero new defects.
