@@ -11,7 +11,16 @@ import sys
 from pathlib import Path
 
 from repro.core import GatherPolicy
-from repro.experiments import PAPER, TABLES, figure1, run_curve, run_filecopy, run_table
+from repro.experiments import (
+    PAPER,
+    TABLES,
+    ExperimentSpec,
+    figure1,
+    run,
+    run_curve,
+    run_filecopy,
+    run_table,
+)
 from repro.experiments.testbed import TestbedConfig
 from repro.net import ETHERNET, FDDI
 
@@ -157,9 +166,7 @@ def extensions_section() -> str:
         lines.append(f"- {netspec.name} (paper uses {paper_ms} ms): " + ", ".join(samples))
     lines.append("")
     # lease-cache sweep (repro cache) — RPCs per user operation
-    from repro.lease.experiment import CacheConfig, _run_cache
-
-    report = _run_cache(CacheConfig(seed=0))
+    report = run(ExperimentSpec(kind="cache"))
     lines.append(
         "Lease-cache sweep (`repro cache`, NQNFS-style leases + callback "
         "recalls; §2 'no caching on the client' lifted):"
@@ -191,9 +198,7 @@ def extensions_section() -> str:
     )
     lines.append("")
     # async WRITE + COMMIT three-way (repro commit)
-    from repro.commit.experiment import CommitConfig, _run_commit
-
-    commit_report = _run_commit(CommitConfig(seed=0))
+    commit_report = run(ExperimentSpec(kind="commit"))
     lines.append(
         "Async WRITE + COMMIT write path (`repro commit`, the §8 NFSv3 "
         "move made server-side: volatile unstable log, boot verifiers, "
@@ -232,9 +237,7 @@ def extensions_section() -> str:
     )
     lines.append("")
     # end-to-end integrity sweep (repro scrub)
-    from repro.integrity.experiment import ScrubConfig, run_scrub
-
-    scrub = run_scrub(ScrubConfig(seed=0))
+    scrub = run(ExperimentSpec(kind="scrub"))
     lines.append(
         "End-to-end integrity (`repro scrub`, per-block checksums + a "
         "media-fault storm — bit rot, latent sectors, a torn write, an "
@@ -278,9 +281,7 @@ def extensions_section() -> str:
     )
     lines.append("")
     # heterogeneous tiers + live migration (repro tiering)
-    from repro.tiering.experiment import TieringConfig, run_tiering
-
-    tiering = run_tiering(TieringConfig(seed=0))
+    tiering = run(ExperimentSpec(kind="tiering"))
     lines.append(
         "Heterogeneous tiers + crash-safe live migration (`repro tiering`, "
         "Zipf-hot multi-tenant appends on a mixed NVRAM-hot / disk-cold "

@@ -21,9 +21,10 @@ Installed as the ``repro`` console script (also usable as
     repro replica --json          # K=0/1/2 replication cost + promote storm
     repro cache --json            # lease-cache TTL x sharing sweep + chaos probes
 
-Every handler goes through :func:`repro.experiments.run` with an
-:class:`~repro.experiments.ExperimentSpec`; the CLI only parses arguments
-and formats results.
+Each subcommand is one :class:`Command` bound to an experiment kind
+(:mod:`repro.experiments.runner`): its flags, how the parsed args become
+the kind's params, and how the result prints.  :func:`main` is the one
+driver that runs every command through :func:`repro.experiments.run`.
 """
 
 from __future__ import annotations
@@ -31,816 +32,407 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from dataclasses import replace
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.policy import GatherPolicy
-from repro.experiments import (
-    PAPER,
-    TABLES,
-    ExperimentSpec,
-    run,
-    table_to_dict,
-)
+from repro.experiments import PAPER, TABLES, ExperimentSpec, kind, run, table_to_dict
+from repro.experiments.bench import bench_to_json
 from repro.experiments.testbed import TestbedConfig
 from repro.metrics import format_comparison
-from repro.net import ETHERNET, FDDI
+from repro.net import ETHERNET, FDDI, NETWORKS
+from repro.payload import PAYLOAD_FLYWEIGHT, PAYLOAD_FULL
 from repro.server.config import WritePath
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "COMMANDS"]
 
-_NETWORKS = {"ethernet": ETHERNET, "fddi": FDDI}
+WRITE_PATHS = [member.value for member in WritePath]
+PRESTO_ARMS = {"off": (False,), "on": (True,), "both": (False, True)}
+
+Flag = Tuple[Tuple[str, ...], dict]
 
 
-class _UsageError(Exception):
-    """Bad flag combination; the handler prints it and returns 2."""
+def _flag(*names: str, **options) -> Flag:
+    return names, options
 
 
-def _add_write_path_options(parser: argparse.ArgumentParser, siva: bool = True) -> None:
-    parser.add_argument(
-        "--write-path",
-        choices=[member.value for member in WritePath],
-        default=None,
-        help="rfs_write implementation to run (default: standard)",
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Appends each flag's default (read from the params) to its help."""
+
+    def _get_help_string(self, action):
+        if action.default is None or action.default is False:
+            return action.help
+        return super()._get_help_string(action)
+
+
+# -- flags shared across commands, declared once ------------------------------
+
+JSON = _flag("--json", action="store_true", help="emit the result as JSON")
+PRESTO = _flag("--presto", action="store_true", help="Prestoserve NVRAM accelerator")
+OUT = _flag("--out", metavar="PATH", help="also write the canonical JSON report to this file")
+
+
+def _seed(default: int) -> Flag:
+    return _flag("--seed", type=int, default=default, help="seed")
+
+
+def _net(default: str) -> Flag:
+    return _flag("--net", choices=sorted(NETWORKS), default=default, help="network")
+
+
+def _payload(default: str) -> Flag:
+    return _flag(
+        "--payload",
+        choices=[PAYLOAD_FULL, PAYLOAD_FLYWEIGHT],
+        default=default,
+        help="payload fidelity: full bytes (oracles byte-compare) or flyweight "
+        "extents (durability-only)",
     )
-    # The old boolean aliases are *removed* (they spent one release as
-    # deprecated warnings).  They stay registered so the error is ours —
-    # a pointer at --write-path — instead of argparse's "unrecognized".
-    parser.add_argument("--gather", action="store_true", help=argparse.SUPPRESS)
+
+
+def _presto_arms(default: Sequence[bool]) -> Flag:
+    name = next(arm for arm, modes in PRESTO_ARMS.items() if modes == tuple(default))
+    return _flag("--presto", choices=list(PRESTO_ARMS), default=name, help="NVRAM arms to run")
+
+
+def _write_paths(default: Sequence[str]) -> Flag:
+    return _flag(
+        "--write-paths",
+        nargs="+",
+        choices=WRITE_PATHS,
+        default=[str(path) for path in default],
+        help="write paths to run",
+    )
+
+
+def _write_path_flags(default: WritePath, siva: bool = True) -> List[Flag]:
+    flags = [
+        _flag("--write-path", choices=WRITE_PATHS, default=str(default), help="rfs_write path"),
+        # The old boolean aliases are *removed*.  They stay registered so
+        # the error is ours — a pointer at --write-path — instead of
+        # argparse's "unrecognized".
+        _flag("--gather", action="store_true", help=argparse.SUPPRESS),
+    ]
     if siva:
-        parser.add_argument("--siva", action="store_true", help=argparse.SUPPRESS)
+        flags.append(_flag("--siva", action="store_true", help=argparse.SUPPRESS))
+    return flags
 
 
-def _add_net_fault_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--loss-rate",
-        type=float,
-        default=0.0,
-        help="per-frame network loss probability in [0, 1) (default: 0)",
-    )
-    parser.add_argument(
-        "--net-seed",
-        type=int,
-        default=None,
-        help="seed for the network RNG (default: the testbed seed)",
-    )
+def _write_path(args) -> WritePath:
+    for alias in ("gather", "siva"):
+        if getattr(args, alias, False):
+            raise ValueError(f"--{alias} was removed; use --write-path {alias} instead")
+    return WritePath.coerce(args.write_path)
 
 
-def _resolve_write_path(args) -> WritePath:
-    """Resolve --write-path, rejecting the removed boolean aliases."""
-    for flag, value in (("--gather", "gather"), ("--siva", "siva")):
-        if getattr(args, value, False):
-            raise _UsageError(
-                f"{flag} was removed; use --write-path {value} instead"
-            )
-    if args.write_path is not None:
-        return WritePath.coerce(args.write_path)
-    return WritePath.STANDARD
+def _net_fault_flags(defaults) -> List[Flag]:
+    return [
+        _flag("--loss-rate", type=float, default=defaults.loss_rate,
+              help="per-frame network loss probability in [0, 1)"),
+        _flag("--net-seed", type=int, default=defaults.net_seed,
+              help="seed for the network RNG (default: the testbed seed)"),
+    ]
 
 
-def _config_from_args(args, write_path: WritePath, tracing: bool = False) -> TestbedConfig:
-    """Build the TestbedConfig the copy/sweep subcommands share."""
-    policy = GatherPolicy()
-    if getattr(args, "interval_ms", None) is not None:
-        policy = GatherPolicy(interval=args.interval_ms / 1000.0)
-    return TestbedConfig(
-        netspec=_NETWORKS[args.net],
-        write_path=write_path,
+def _testbed(args, base: TestbedConfig, tracing: bool = False) -> TestbedConfig:
+    """The TestbedConfig the copy/sweep flags describe."""
+    interval_ms = getattr(args, "interval_ms", None)
+    return replace(
+        base,
+        netspec=NETWORKS[args.net],
+        write_path=_write_path(args),
         nbiods=args.biods,
         presto_bytes=(1 << 20) if getattr(args, "presto", False) else None,
-        stripes=getattr(args, "stripes", 1),
-        nfsds=getattr(args, "nfsds", 8),
-        gather_policy=policy,
+        stripes=getattr(args, "stripes", base.stripes),
+        nfsds=getattr(args, "nfsds", base.nfsds),
+        gather_policy=(
+            base.gather_policy
+            if interval_ms is None
+            else GatherPolicy(interval=interval_ms / 1000.0)
+        ),
         tracing=tracing,
-        loss_rate=getattr(args, "loss_rate", 0.0),
-        net_seed=getattr(args, "net_seed", None),
+        loss_rate=args.loss_rate,
+        net_seed=args.net_seed,
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Reproduce 'Improving the Write Performance of an NFS Server' (USENIX 1994).",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-
-    table = subparsers.add_parser("table", help="regenerate one of Tables 1-6")
-    table.add_argument("number", type=int, choices=sorted(TABLES))
-    table.add_argument("--file-mb", type=float, default=10.0, help="copy size (paper: 10)")
-    table.add_argument("--json", action="store_true", help="emit the table as JSON")
-
-    copy = subparsers.add_parser("copy", help="run one file-copy cell")
-    copy.add_argument("--net", choices=sorted(_NETWORKS), default="fddi")
-    copy.add_argument("--biods", type=int, default=7)
-    _add_write_path_options(copy)
-    copy.add_argument("--presto", action="store_true", help="NVRAM accelerator")
-    copy.add_argument("--stripes", type=int, default=1)
-    copy.add_argument("--nfsds", type=int, default=8)
-    copy.add_argument("--file-mb", type=float, default=10.0)
-    copy.add_argument("--interval-ms", type=float, default=None, help="procrastination override")
-    _add_net_fault_options(copy)
-    copy.add_argument(
-        "--json",
-        action="store_true",
-        help="emit JSON (runs traced: includes per-phase latency percentiles)",
-    )
-
-    subparsers.add_parser("trace", help="print the Figure 1 timelines")
-
-    laddis = subparsers.add_parser("laddis", help="run a Figure 2/3 LADDIS curve")
-    laddis.add_argument("--presto", action="store_true")
-    laddis.add_argument(
-        "--loads",
-        type=float,
-        nargs="+",
-        default=[150.0, 300.0, 450.0, 550.0, 650.0],
-    )
-    laddis.add_argument("--duration", type=float, default=3.0)
-    _add_net_fault_options(laddis)
-
-    subparsers.add_parser("claims", help="one-screen summary of the headline results")
-
-    chaos = subparsers.add_parser(
-        "chaos",
-        help="run a seeded fault-injection campaign (repro.faults)",
-        description=(
-            "Generate and run randomized-but-reproducible fault plans "
-            "(crashes, packet loss, partitions, duplication, reordering, "
-            "slow disks, socket-buffer shrink) against every selected "
-            "write path with Presto on and off, asserting the crash "
-            "contract: every client-acked write is durable with correct "
-            "content, and fsck finds no structural damage.  Exits 1 on "
-            "any violation."
-        ),
-    )
-    chaos.add_argument("--seed", type=int, default=0, help="campaign seed (default: 0)")
-    chaos.add_argument(
-        "--plans",
-        type=int,
-        default=5,
-        help="plans per write path x presto combination (default: 5)",
-    )
-    chaos.add_argument(
-        "--write-paths",
-        nargs="+",
-        choices=[member.value for member in WritePath],
-        default=[member.value for member in WritePath],
-        help="write paths to campaign over (default: all)",
-    )
-    chaos.add_argument(
-        "--presto",
-        choices=["off", "on", "both"],
-        default="both",
-        help="NVRAM accelerator arms to run (default: both)",
-    )
-    chaos.add_argument(
-        "--file-kb", type=int, default=192, help="per-file workload size (default: 192)"
-    )
-    chaos.add_argument(
-        "--payload",
-        choices=["full", "flyweight"],
-        default="full",
-        help="payload fidelity: full bytes (oracle byte-compares) or "
-        "flyweight extents (durability-only oracle; default: full)",
-    )
-    chaos.add_argument("--json", action="store_true", help="emit the full report as JSON")
-
-    sweep_cmd = subparsers.add_parser("sweep", help="sweep one parameter of a file-copy")
-    sweep_cmd.add_argument("field", help="TestbedConfig field, or interval_ms / presto_mb")
-    sweep_cmd.add_argument("values", nargs="+", help="values to sweep")
-    sweep_cmd.add_argument("--net", choices=sorted(_NETWORKS), default="fddi")
-    _add_write_path_options(sweep_cmd, siva=False)
-    sweep_cmd.add_argument("--biods", type=int, default=7)
-    sweep_cmd.add_argument("--file-mb", type=float, default=4.0)
-    _add_net_fault_options(sweep_cmd)
-    sweep_cmd.add_argument("--json", action="store_true", help="emit results as JSON")
-
-    cluster_cmd = subparsers.add_parser(
-        "cluster",
-        help="run the sharded server fleet (repro.cluster)",
-        description=(
-            "Stand up N independent NFS servers behind a consistent-hash "
-            "shard map and a client-side mount router, run a seeded "
-            "multi-client write workload, and verify the cluster-wide "
-            "crash contract.  Multiple --servers or --clients values run "
-            "a scaling sweep with a per-cell efficiency table.  Exits 1 "
-            "on any oracle violation."
-        ),
-    )
-    cluster_cmd.add_argument(
-        "--servers",
-        type=int,
-        nargs="+",
-        default=[2],
-        help="fleet size(s); more than one value runs a sweep (default: 2)",
-    )
-    cluster_cmd.add_argument(
-        "--clients",
-        type=int,
-        nargs="+",
-        default=[4],
-        help="client count(s); more than one value runs a sweep (default: 4)",
-    )
-    cluster_cmd.add_argument(
-        "--vnodes", type=int, default=64, help="virtual nodes per server (default: 64)"
-    )
-    cluster_cmd.add_argument(
-        "--racks", type=int, default=1, help="network segments (default: 1)"
-    )
-    cluster_cmd.add_argument("--net", choices=sorted(_NETWORKS), default="fddi")
-    _add_write_path_options(cluster_cmd)
-    cluster_cmd.add_argument("--presto", action="store_true", help="NVRAM on every shard")
-    cluster_cmd.add_argument("--biods", type=int, default=4)
-    cluster_cmd.add_argument("--nfsds", type=int, default=8)
-    cluster_cmd.add_argument(
-        "--file-kb", type=int, default=64, help="size of each written file (default: 64)"
-    )
-    cluster_cmd.add_argument(
-        "--files", type=int, default=2, help="files written per client (default: 2)"
-    )
-    cluster_cmd.add_argument("--seed", type=int, default=0)
-    cluster_cmd.add_argument(
-        "--crash-shard",
-        type=int,
-        default=None,
-        help="crash this shard index mid-run (single-cell runs only)",
-    )
-    cluster_cmd.add_argument(
-        "--crash-at", type=float, default=0.05, help="crash time in seconds (default: 0.05)"
-    )
-    cluster_cmd.add_argument(
-        "--outage",
-        type=float,
-        default=0.0,
-        help="seconds the crashed shard stays partitioned (default: 0)",
-    )
-    cluster_cmd.add_argument(
-        "--redirect",
-        action="store_true",
-        help="drop the crashed shard from the mount map during the outage",
-    )
-    cluster_cmd.add_argument("--json", action="store_true", help="emit the result as JSON")
-
-    overload = subparsers.add_parser(
-        "overload",
-        help="goodput-vs-load sweep past saturation (repro.overload)",
-        description=(
-            "Drive a client fleet past server saturation through a "
-            "mid-run retransmit storm, comparing the paper-era static "
-            "1.1 s retransmission schedule against the adaptive stack "
-            "(Van Jacobson RTO with Karn's rule and seeded jitter, an "
-            "AIMD write window, and server admission control with "
-            "dup-cache-aware shedding).  Each combo also crashes the "
-            "server mid-storm and asserts that every client-acked write "
-            "survived.  Exits 1 on any crash-contract violation, a "
-            "non-monotone adaptive curve, or adaptive goodput below "
-            "static at the top load."
-        ),
-    )
-    overload.add_argument("--seed", type=int, default=0, help="sweep seed (default: 0)")
-    overload.add_argument(
-        "--write-paths",
-        nargs="+",
-        choices=[member.value for member in WritePath],
-        default=[member.value for member in WritePath],
-        help="write paths to sweep (default: all)",
-    )
-    overload.add_argument(
-        "--presto",
-        choices=["off", "on", "both"],
-        default="both",
-        help="NVRAM accelerator arms to run (default: both)",
-    )
-    overload.add_argument(
-        "--loads",
-        type=float,
-        nargs="+",
-        default=None,
-        metavar="KBS",
-        help="per-client offered rates in KB/s, ascending "
-        "(default: 3.9 7.8 15.6 46.9 156.2 468.8)",
-    )
-    overload.add_argument(
-        "--clients", type=int, default=12, help="fleet size (default: 12)"
-    )
-    overload.add_argument(
-        "--duration",
-        type=float,
-        default=5.0,
-        help="measured window per point, seconds (default: 5)",
-    )
-    overload.add_argument(
-        "--no-adapt",
-        action="store_true",
-        help="run only the static (no-adaptation) curve",
-    )
-    overload.add_argument(
-        "--adapt-only",
-        action="store_true",
-        help="run only the adaptive curve",
-    )
-    overload.add_argument("--json", action="store_true", help="emit the full report as JSON")
-
-    bench = subparsers.add_parser(
-        "bench",
-        help="run the perf-baseline grid and emit BENCH_<n>.json",
-        description=(
-            "One seeded file copy per cell of standard/gather/siva x "
-            "Presto off/on, reporting throughput, p50/p99 write latency, "
-            "and disk writes per MB.  CI uploads the JSON as an artifact "
-            "so perf-affecting PRs have a baseline to diff against."
-        ),
-    )
-    bench.add_argument("--net", choices=sorted(_NETWORKS), default="fddi")
-    bench.add_argument("--file-mb", type=float, default=2.0, help="copy size (default: 2)")
-    bench.add_argument("--biods", type=int, default=7)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="also write the canonical JSON to this file (e.g. BENCH_1.json)",
-    )
-    bench.add_argument(
-        "--payload",
-        choices=["full", "flyweight"],
-        default="flyweight",
-        help="payload fidelity; the grid's simulated numbers are identical "
-        "either way, flyweight just runs faster (default: flyweight)",
-    )
-    bench.add_argument("--json", action="store_true", help="print the report as JSON")
-
-    replica = subparsers.add_parser(
-        "replica",
-        help="replicated shards under a crash-and-promote storm (repro.replica)",
-        description=(
-            "Run the sharded write workload once per replication factor "
-            "(default K=0, 1, 2) while a seeded storm kills acting "
-            "primaries mid-run.  With K>0 each kill promotes the shard's "
-            "freshest backup; the group oracle asserts that no acked "
-            "write is ever missing from the surviving replica set, and a "
-            "post-quiesce pass byte-compares the survivors.  The K=0 arm "
-            "is the unreplicated baseline, so the report prices the "
-            "guarantee: p99 write latency and throughput vs K=0.  Exits "
-            "1 on any violation."
-        ),
-    )
-    replica.add_argument(
-        "--servers", type=int, default=3, help="shard count (default: 3)"
-    )
-    replica.add_argument(
-        "--clients", type=int, default=6, help="client count (default: 6)"
-    )
-    replica.add_argument(
-        "--replicas",
-        type=int,
-        nargs="+",
-        default=[0, 1, 2],
-        metavar="K",
-        help="backups per shard; each value is one arm (default: 0 1 2)",
-    )
-    replica.add_argument(
-        "--quorum",
-        type=int,
-        default=1,
-        help="backup acks required before a write is acked (default: 1)",
-    )
-    replica.add_argument(
-        "--files", type=int, default=2, help="files written per client (default: 2)"
-    )
-    replica.add_argument(
-        "--file-kb", type=int, default=64, help="size of each written file (default: 64)"
-    )
-    replica.add_argument(
-        "--crashes",
-        type=int,
-        default=3,
-        help="primary kills in the storm, round-robin over shards (default: 3)",
-    )
-    replica.add_argument("--net", choices=sorted(_NETWORKS), default="fddi")
-    replica.add_argument("--seed", type=int, default=0)
-    replica.add_argument(
-        "--payload",
-        choices=["full", "flyweight"],
-        default="full",
-        help="payload fidelity: full bytes (group oracle byte-compares) or "
-        "flyweight extents (durability-only; default: full)",
-    )
-    replica.add_argument("--json", action="store_true", help="emit the result as JSON")
-
-    cache = subparsers.add_parser(
-        "cache",
-        help="lease-cache RPC-reduction sweep + staleness chaos probes (repro.lease)",
-        description=(
-            "Measure what client-side caching under server-granted "
-            "leases buys: RPCs per user operation on a shared-read/"
-            "private-write workload, swept over lease TTL x sharing "
-            "ratio with leases on vs off, plus compact before/after "
-            "profiles of the copy, LADDIS, cluster, and overload "
-            "workloads.  Then probe the staleness contract under chaos "
-            "(server crash mid-recall, a severed callback path, a "
-            "holder partitioned past its TTL) with an omniscient "
-            "oracle watching every served cache hit.  Exits 1 on any "
-            "staleness violation or if the headline cell misses its "
-            "required reduction."
-        ),
-    )
-    cache.add_argument("--seed", type=int, default=0, help="sweep seed (default: 0)")
-    cache.add_argument(
-        "--ttls",
-        type=float,
-        nargs="+",
-        default=None,
-        metavar="SEC",
-        help="lease TTL axis in seconds (default: 1 5 30; must include "
-        "the headline TTL)",
-    )
-    cache.add_argument(
-        "--sharing",
-        type=float,
-        nargs="+",
-        default=None,
-        metavar="RATIO",
-        help="shared-read fractions in [0,1] (default: 0.25 0.5 0.9; "
-        "must include the headline ratio)",
-    )
-    cache.add_argument(
-        "--clients", type=int, default=4, help="fleet size (default: 4)"
-    )
-    cache.add_argument(
-        "--ops", type=int, default=30, help="operations per client (default: 30)"
-    )
-    cache.add_argument(
-        "--no-chaos",
-        action="store_true",
-        help="skip the chaos probes (sweep and workload profiles only)",
-    )
-    cache.add_argument("--json", action="store_true", help="emit the full report as JSON")
-
-    commit_cmd = subparsers.add_parser(
-        "commit",
-        help="async WRITE+COMMIT three-way comparison + verifier probes (repro.commit)",
-        description=(
-            "Compare the async_commit write path (unstable WRITEs acked "
-            "from volatile memory, boot verifiers, explicit COMMIT) "
-            "against the standard and gather paths on the seeded bench "
-            "copy, open both memory-pressure valves against a shrunken "
-            "volatile ceiling, run the K=1 crash-and-promote storm on "
-            "both paths, and probe the verifier lifecycle under chaos "
-            "(crash mid-unstable-window, crash between WRITE and COMMIT, "
-            "promotion mid-COMMIT).  Exits 1 on any oracle violation or "
-            "if async_commit fails to beat the standard path on p50 "
-            "write latency and throughput."
-        ),
-    )
-    commit_cmd.add_argument("--seed", type=int, default=0)
-    commit_cmd.add_argument(
-        "--file-mb",
-        type=float,
-        default=1.0,
-        help="bench copy size in MB (default: 1.0)",
-    )
-    commit_cmd.add_argument(
-        "--biods", type=int, default=7, help="client write-behind depth (default: 7)"
-    )
-    commit_cmd.add_argument(
-        "--no-chaos",
-        action="store_true",
-        help="skip the verifier-lifecycle chaos probes",
-    )
-    commit_cmd.add_argument(
-        "--out", help="also write the canonical JSON report to this file"
-    )
-    commit_cmd.add_argument(
-        "--json", action="store_true", help="emit the full report as JSON"
-    )
-
-    scrub_cmd = subparsers.add_parser(
-        "scrub",
-        help="end-to-end integrity sweep: corruption x scrub bandwidth x K "
-        "(repro.integrity)",
-        description=(
-            "Run the seeded write workload under a media-fault storm (bit "
-            "rot, latent sector errors, a torn write and an NVRAM battery "
-            "degrade cashed in by a mid-run crash) while a background "
-            "scrubber walks the durable image verifying per-block "
-            "checksums.  With replicas (K>=1) every defect must self-heal "
-            "from a replica-group peer; standalone (K=0) every defect "
-            "must surface as a quarantine + EIO.  In every arm, zero "
-            "acked READs may return bytes differing from the acked write "
-            "image.  Exits 1 on any silent corruption, missed "
-            "convergence, or unhealed defect at K>=1."
-        ),
-    )
-    scrub_cmd.add_argument("--seed", type=int, default=0)
-    scrub_cmd.add_argument(
-        "--clients", type=int, default=3, help="client hosts (default: 3)"
-    )
-    scrub_cmd.add_argument(
-        "--files-per-client", type=int, default=2, help="files each (default: 2)"
-    )
-    scrub_cmd.add_argument(
-        "--file-kb", type=int, default=32, help="file size in KB (default: 32)"
-    )
-    scrub_cmd.add_argument(
-        "--rates",
-        type=float,
-        nargs="+",
-        default=[0.25],
-        metavar="R",
-        help="corruption rates to sweep, fraction of durable blocks "
-        "afflicted per media fault (default: 0.25)",
-    )
-    scrub_cmd.add_argument(
-        "--bandwidths",
-        type=float,
-        nargs="+",
-        default=[2 << 20, 8 << 20],
-        metavar="BPS",
-        help="scrub read bandwidths in bytes/sec (default: 2MiB 8MiB)",
-    )
-    scrub_cmd.add_argument(
-        "--replicas",
-        type=int,
-        nargs="+",
-        default=[0, 1],
-        metavar="K",
-        help="replication factors to sweep (default: 0 1)",
-    )
-    scrub_cmd.add_argument(
-        "--out", help="also write the canonical JSON report to this file"
-    )
-    scrub_cmd.add_argument(
-        "--json", action="store_true", help="emit the full report as JSON"
-    )
-
-    tiering_cmd = subparsers.add_parser(
-        "tiering",
-        help="heterogeneous-tier placement sweep + crash-safe migration "
-        "storm (repro.tiering)",
-        description=(
-            "Run the Zipf-hot multi-tenant append workload against an "
-            "all-cold fleet (the baseline) and against a mixed fleet "
-            "whose hot tier carries Presto NVRAM, once per placement "
-            "policy.  Then replay it with replication while a "
-            "MigrationEngine live-demotes the hottest files hot->cold "
-            "under injected shard crashes, a network partition, and "
-            "replica promotions timed to land mid-copy.  The migration "
-            "contract — every acked range satisfiable at exactly one "
-            "authoritative location — is checked at every fault and at "
-            "quiesce.  Exits 1 on any oracle violation."
-        ),
-    )
-    tiering_cmd.add_argument("--seed", type=int, default=0)
-    tiering_cmd.add_argument(
-        "--tenants", type=int, default=6, help="tenant clients (default: 6)"
-    )
-    tiering_cmd.add_argument(
-        "--files-per-tenant", type=int, default=4, help="files each (default: 4)"
-    )
-    tiering_cmd.add_argument(
-        "--ops", type=int, default=48, help="appends per tenant (default: 48)"
-    )
-    tiering_cmd.add_argument(
-        "--skew",
-        type=float,
-        default=1.1,
-        help="per-tenant Zipf skew; 0 = uniform (default: 1.1)",
-    )
-    tiering_cmd.add_argument(
-        "--policies",
-        nargs="+",
-        default=None,
-        metavar="POLICY",
-        help="placement policies to sweep (default: hash mfs least-load "
-        "hot-first)",
-    )
-    tiering_cmd.add_argument(
-        "--out", help="also write the canonical JSON report to this file"
-    )
-    tiering_cmd.add_argument(
-        "--json", action="store_true", help="emit the full report as JSON"
-    )
-    return parser
+def _violations(clean: bool, violations: Sequence, held: str, indent: str = "") -> Iterable[str]:
+    if clean:
+        yield f"{indent}{held}"
+        return
+    yield f"{indent}{len(violations)} VIOLATIONS:"
+    for violation in violations:
+        yield f"{indent}  {violation}"
 
 
-def _cmd_table(args) -> int:
-    result = run(ExperimentSpec(kind="table", table=args.number, file_mb=args.file_mb))
-    if args.json:
-        print(json.dumps(table_to_dict(result), indent=2, sort_keys=True))
-        return 0
-    print(result.render())
-    print()
-    paper = PAPER[args.number]
-    for variant, label in (("std", "Without gathering"), ("gather", "With gathering")):
-        print(
-            format_comparison(
+# -- the commands --------------------------------------------------------------
+
+
+class Command:
+    """One subcommand bound to one experiment kind.
+
+    Subclasses declare the flags (defaults read from the kind's default
+    params ``d``), how the parsed args become params, and how the result
+    prints; :func:`main` does the rest, the same way for every command.
+    """
+
+    name: str
+    kind: str
+    help: str
+    description: Optional[str] = None
+    #: Formats one progress item as a line (None: the kind reports none).
+    progress = None
+
+    @property
+    def params(self) -> type:
+        return kind(self.kind).params
+
+    def flags(self, d) -> List[Flag]:
+        return []
+
+    def build(self, args, d):
+        """The params the args describe; raises ValueError if invalid."""
+        return d
+
+    def header(self, params) -> Optional[str]:
+        return None
+
+    def execute(self, params, progress):
+        return run(ExperimentSpec(self.kind, params, progress))
+
+    def render(self, result, params) -> Iterable[str]:
+        return ()
+
+    def to_json(self, result, params) -> str:
+        return result.to_json()
+
+    def ok(self, result) -> bool:
+        return True
+
+
+class TableCommand(Command):
+    name = kind = "table"
+    help = "regenerate one of Tables 1-6"
+
+    def flags(self, d):
+        return [
+            _flag("number", type=int, choices=sorted(TABLES)),
+            _flag("--file-mb", type=float, default=d.file_mb, help="copy size (paper: 10)"),
+            JSON,
+        ]
+
+    def build(self, args, d):
+        return self.params(table=args.number, file_mb=args.file_mb)
+
+    def render(self, result, params):
+        yield result.render()
+        yield ""
+        paper = PAPER[params.table]
+        for variant, label in (("std", "Without gathering"), ("gather", "With gathering")):
+            yield format_comparison(
                 f"{label} — client write speed (measured vs paper)",
                 result.spec.biods,
                 result.series(variant, "speed"),
                 paper[variant]["speed"],
             )
+
+    def to_json(self, result, params):
+        return json.dumps(table_to_dict(result), indent=2, sort_keys=True)
+
+
+class CopyCommand(Command):
+    name = kind = "copy"
+    help = "run one file-copy cell"
+    description = (
+        "Run one seeded sequential file copy.  With --json the run is traced "
+        "and the report includes per-phase latency percentiles."
+    )
+
+    def flags(self, d):
+        base = d.testbed
+        return [
+            _net(base.netspec.name),
+            _flag("--biods", type=int, default=base.nbiods),
+            *_write_path_flags(base.write_path),
+            PRESTO,
+            _flag("--stripes", type=int, default=base.stripes),
+            _flag("--nfsds", type=int, default=base.nfsds),
+            _flag("--file-mb", type=float, default=d.file_mb),
+            _flag("--interval-ms", type=float, help="procrastination override"),
+            *_net_fault_flags(base),
+            JSON,
+        ]
+
+    def build(self, args, d):
+        testbed = _testbed(args, d.testbed, tracing=args.json)
+        return self.params(testbed=testbed, file_mb=args.file_mb)
+
+    def render(self, metrics, params):
+        yield (
+            f"configuration: {metrics.label}, {params.testbed.nbiods} biods, "
+            f"{params.file_mb} MB copy"
         )
-    return 0
+        for name, value in metrics.row().items():
+            yield f"  {name:<32} {value}"
+        if metrics.mean_batch_size is not None:
+            yield f"  {'mean gathered batch size':<32} {metrics.mean_batch_size:.1f}"
+            yield f"  {'gather success rate':<32} {metrics.gather_success_rate:.0%}"
+            yield f"  {'procrastinations':<32} {metrics.procrastinations:.0f}"
+
+    def to_json(self, metrics, params):
+        return json.dumps(metrics.to_json(), indent=2, sort_keys=True)
 
 
-def _cmd_copy(args) -> int:
-    try:
-        write_path = _resolve_write_path(args)
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    config = _config_from_args(args, write_path, tracing=args.json)
-    metrics = run(ExperimentSpec(kind="copy", config=config, file_mb=args.file_mb))
-    if args.json:
-        print(json.dumps(metrics.to_json(), indent=2, sort_keys=True))
-        return 0
-    print(f"configuration: {metrics.label}, {args.biods} biods, {args.file_mb} MB copy")
-    for name, value in metrics.row().items():
-        print(f"  {name:<32} {value}")
-    if metrics.mean_batch_size is not None:
-        print(f"  {'mean gathered batch size':<32} {metrics.mean_batch_size:.1f}")
-        print(f"  {'gather success rate':<32} {metrics.gather_success_rate:.0%}")
-        print(f"  {'procrastinations':<32} {metrics.procrastinations:.0f}")
-    return 0
+class TraceCommand(Command):
+    name = kind = "trace"
+    help = "print the Figure 1 timelines"
 
-
-def _cmd_trace(args) -> int:
-    sides = run(ExperimentSpec(kind="trace"))
-    for name in ("standard", "gathering"):
-        side = sides[name]
-        print(f"=== {name} server — window from {side['window_start_ms']:.1f} ms ===")
-        print(side["rendered"])
-        print(
-            f"--> {side['writes']} writes, {side['disk_transactions']} disk "
-            f"transactions, {side['replies']} replies\n"
-        )
-    return 0
-
-
-def _cmd_laddis(args) -> int:
-    curves = {
-        name: run(
-            ExperimentSpec(
-                kind="curve",
-                write_path=path,
-                presto=args.presto,
-                loads=args.loads,
-                duration=args.duration,
-                loss_rate=args.loss_rate,
-                net_seed=args.net_seed,
+    def render(self, sides, params):
+        for name in ("standard", "gathering"):
+            side = sides[name]
+            yield f"=== {name} server — window from {side['window_start_ms']:.1f} ms ==="
+            yield side["rendered"]
+            yield (
+                f"--> {side['writes']} writes, {side['disk_transactions']} disk "
+                f"transactions, {side['replies']} replies\n"
             )
-        )
-        for name, path in (("standard", WritePath.STANDARD), ("gathering", WritePath.GATHER))
-    }
-    print(f"{'offered':>8} {'std ops/s':>10} {'std ms':>8} {'gat ops/s':>10} {'gat ms':>8}")
-    for s_point, g_point in zip(curves["standard"].points, curves["gathering"].points):
-        print(
-            f"{s_point.offered:8.0f} {s_point.achieved:10.0f} {s_point.latency_ms:8.1f}"
-            f" {g_point.achieved:10.0f} {g_point.latency_ms:8.1f}"
-        )
-    std_cap = curves["standard"].capacity()
-    gat_cap = curves["gathering"].capacity()
-    delta = 100 * (gat_cap / std_cap - 1) if std_cap else float("nan")
-    print(f"capacity: standard {std_cap:.0f}, gathering {gat_cap:.0f} ({delta:+.0f}%)")
-    return 0
 
 
-def _cmd_claims(_args) -> int:
-    print("Headline results (2 MB copies for speed; benches run full scale):")
-    rows = [
-        ("FDDI @7 biods, standard", TestbedConfig(netspec=FDDI, write_path="standard", nbiods=7)),
-        ("FDDI @7 biods, gathering", TestbedConfig(netspec=FDDI, write_path="gather", nbiods=7)),
-        ("Ethernet @0 biods, standard", TestbedConfig(netspec=ETHERNET, write_path="standard", nbiods=0)),
-        ("Ethernet @0 biods, gathering", TestbedConfig(netspec=ETHERNET, write_path="gather", nbiods=0)),
-        (
-            "Eth+Presto @7 biods, standard",
-            TestbedConfig(netspec=ETHERNET, write_path="standard", nbiods=7, presto_bytes=1 << 20),
-        ),
-        (
-            "Eth+Presto @7 biods, gathering",
-            TestbedConfig(netspec=ETHERNET, write_path="gather", nbiods=7, presto_bytes=1 << 20),
-        ),
+class LaddisCommand(Command):
+    name, kind = "laddis", "curve"
+    help = "run a Figure 2/3 LADDIS curve"
+
+    def flags(self, d):
+        return [
+            PRESTO,
+            _flag("--loads", type=float, nargs="+", default=list(d.loads)),
+            _flag("--duration", type=float, default=d.duration),
+            *_net_fault_flags(d),
+        ]
+
+    def build(self, args, d):
+        return self.params(
+            presto=args.presto,
+            loads=args.loads,
+            duration=args.duration,
+            loss_rate=args.loss_rate,
+            net_seed=args.net_seed,
+        )
+
+    def execute(self, params, progress):
+        return {
+            name: run(ExperimentSpec(self.kind, replace(params, write_path=path)))
+            for name, path in (("standard", WritePath.STANDARD), ("gathering", WritePath.GATHER))
+        }
+
+    def render(self, curves, params):
+        yield f"{'offered':>8} {'std ops/s':>10} {'std ms':>8} {'gat ops/s':>10} {'gat ms':>8}"
+        for s_point, g_point in zip(curves["standard"].points, curves["gathering"].points):
+            yield (
+                f"{s_point.offered:8.0f} {s_point.achieved:10.0f} {s_point.latency_ms:8.1f}"
+                f" {g_point.achieved:10.0f} {g_point.latency_ms:8.1f}"
+            )
+        std_cap = curves["standard"].capacity()
+        gat_cap = curves["gathering"].capacity()
+        delta = 100 * (gat_cap / std_cap - 1) if std_cap else float("nan")
+        yield f"capacity: standard {std_cap:.0f}, gathering {gat_cap:.0f} ({delta:+.0f}%)"
+
+
+class ClaimsCommand(Command):
+    name, kind = "claims", "copy"
+    help = "one-screen summary of the headline results"
+    ROWS = [
+        ("FDDI @7 biods, standard", FDDI, "standard", 7, None),
+        ("FDDI @7 biods, gathering", FDDI, "gather", 7, None),
+        ("Ethernet @0 biods, standard", ETHERNET, "standard", 0, None),
+        ("Ethernet @0 biods, gathering", ETHERNET, "gather", 0, None),
+        ("Eth+Presto @7 biods, standard", ETHERNET, "standard", 7, 1 << 20),
+        ("Eth+Presto @7 biods, gathering", ETHERNET, "gather", 7, 1 << 20),
     ]
-    for label, config in rows:
-        metrics = run(ExperimentSpec(kind="copy", config=config, file_mb=2))
-        print(
-            f"  {label:<32} {metrics.client_kb_per_sec:7.0f} KB/s  "
-            f"cpu {metrics.server_cpu_pct:4.1f}%  disk {metrics.disk_trans_per_sec:5.1f} t/s"
-        )
-    return 0
 
+    def header(self, params):
+        return "Headline results (2 MB copies for speed; benches run full scale):"
 
-def _cmd_chaos(args) -> int:
-    presto_modes = {"off": (False,), "on": (True,), "both": (False, True)}[args.presto]
+    def execute(self, params, progress):
+        rows = []
+        for label, netspec, write_path, nbiods, presto_bytes in self.ROWS:
+            testbed = TestbedConfig(
+                netspec=netspec, write_path=write_path, nbiods=nbiods, presto_bytes=presto_bytes
+            )
+            copy = replace(params, testbed=testbed, file_mb=2)
+            rows.append((label, run(ExperimentSpec(self.kind, copy))))
+        return rows
 
-    def progress(result) -> None:
-        if not args.json:
-            presto = "presto" if result.presto else "plain "
-            status = "ok" if result.clean else "VIOLATION"
-            print(
-                f"  {result.plan.name:<24} {presto} "
-                f"acked={result.acked_writes:<4} crashes={result.crashes} "
-                f"retrans={result.retransmissions:<3} {status}"
+    def render(self, rows, params):
+        for label, metrics in rows:
+            yield (
+                f"  {label:<32} {metrics.client_kb_per_sec:7.0f} KB/s  "
+                f"cpu {metrics.server_cpu_pct:4.1f}%  disk {metrics.disk_trans_per_sec:5.1f} t/s"
             )
 
-    if not args.json:
-        combos = len(args.write_paths) * len(presto_modes)
-        print(
-            f"chaos campaign: seed={args.seed}, {args.plans} plans x "
-            f"{combos} combos, {args.file_kb} KB files"
-        )
-    report = run(
-        ExperimentSpec(
-            kind="chaos",
+
+class ChaosCommand(Command):
+    name = kind = "chaos"
+    help = "run a seeded fault-injection campaign (repro.faults)"
+    description = (
+        "Generate and run randomized-but-reproducible fault plans (crashes, "
+        "packet loss, partitions, duplication, reordering, slow disks, "
+        "socket-buffer shrink) against every selected write path with Presto "
+        "on and off, asserting the crash contract: every client-acked write "
+        "is durable with correct content, and fsck finds no structural "
+        "damage.  Exits 1 on any violation."
+    )
+
+    def flags(self, d):
+        return [
+            _seed(d.seed),
+            _flag("--plans", type=int, default=d.plans, help="plans per write path x presto arm"),
+            _write_paths(d.write_paths),
+            _presto_arms(d.presto_modes),
+            _flag("--file-kb", type=int, default=d.file_kb, help="per-file workload size"),
+            _payload(d.payload),
+            JSON,
+        ]
+
+    def build(self, args, d):
+        return self.params(
             seed=args.seed,
             plans=args.plans,
             write_paths=args.write_paths,
-            presto_modes=presto_modes,
+            presto_modes=PRESTO_ARMS[args.presto],
             file_kb=args.file_kb,
             payload=args.payload,
-            progress=progress,
         )
-    )
-    if args.json:
-        print(report.to_json())
-    else:
+
+    def header(self, p):
+        combos = len(p.write_paths) * len(p.presto_modes)
+        return (
+            f"chaos campaign: seed={p.seed}, {p.plans} plans x "
+            f"{combos} combos, {p.file_kb} KB files"
+        )
+
+    def progress(self, result):
+        presto = "presto" if result.presto else "plain "
+        return (
+            f"  {result.plan.name:<24} {presto} "
+            f"acked={result.acked_writes:<4} crashes={result.crashes} "
+            f"retrans={result.retransmissions:<3} {'ok' if result.clean else 'VIOLATION'}"
+        )
+
+    def render(self, report, params):
         summary = report.to_dict()
-        print(
+        yield (
             f"ran {summary['plans_run']} plans: "
             f"{summary['total_acked_writes']} acked writes, "
             f"{summary['total_crashes']} crashes, "
             f"{summary['total_retransmissions']} retransmissions"
         )
-        if report.clean:
-            print("crash contract held: zero violations")
-        else:
-            print(f"{len(report.violations)} VIOLATIONS:")
-            for violation in report.violations:
-                print(f"  {violation}")
-    return 0 if report.clean else 1
-
-
-def _cmd_overload(args) -> int:
-    from repro.overload import MODES, OverloadConfig
-
-    if args.no_adapt and args.adapt_only:
-        print("--no-adapt and --adapt-only are mutually exclusive", file=sys.stderr)
-        return 2
-    modes = MODES
-    if args.no_adapt:
-        modes = ("static",)
-    elif args.adapt_only:
-        modes = ("adaptive",)
-    presto_modes = {"off": (False,), "on": (True,), "both": (False, True)}[args.presto]
-    kwargs = {}
-    if args.loads is not None:
-        kwargs["loads"] = tuple(int(round(kb * 1024)) for kb in args.loads)
-    config = OverloadConfig(
-        seed=args.seed,
-        write_paths=tuple(args.write_paths),
-        presto_modes=presto_modes,
-        modes=modes,
-        clients=args.clients,
-        duration=args.duration,
-        **kwargs,
-    )
-
-    def progress(line: str) -> None:
-        if not args.json:
-            print(f"  {line}")
-
-    if not args.json:
-        loads_kbs = ", ".join(f"{rate / 1024:.1f}" for rate in config.loads)
-        print(
-            f"overload sweep: seed={config.seed}, {config.clients} clients, "
-            f"loads [{loads_kbs}] KB/s each, modes {'+'.join(config.modes)}"
+        yield from _violations(
+            report.clean, report.violations, "crash contract held: zero violations"
         )
-    report = run(ExperimentSpec(kind="overload", config=config, progress=progress))
-    if args.json:
-        print(report.to_json())
-    else:
-        for combo in report.combos:
-            tag = f"{combo['write_path']}/presto={'on' if combo['presto'] else 'off'}"
-            for mode, curve in combo["curves"].items():
-                shape = "COLLAPSE" if curve["collapse"] else (
-                    "plateau" if curve["monotone_nondecreasing"] else "noisy"
-                )
-                print(f"  {tag:<24} {mode:<8} top {curve['goodput_kbs'][-1]:7.1f} KB/s  {shape}")
-            verdict = combo.get("verdict")
-            if verdict is not None:
-                outcome = "holds" if verdict["adaptation_wins"] else "FAILS"
-                print(
-                    f"  {tag:<24} adaptation {outcome}: "
-                    f"{verdict['adaptive_top_goodput_kbs']:.1f} vs "
-                    f"{verdict['static_top_goodput_kbs']:.1f} KB/s at top load"
-                )
-        if report.clean:
-            print("crash contract held: zero violations")
-        else:
-            print(f"{len(report.violations)} VIOLATIONS:")
-            for violation in report.violations:
-                print(f"  {violation}")
-    return 0 if report.clean and report.adaptation_holds else 1
+
+    def ok(self, report):
+        return report.clean
 
 
 def _parse_value(text: str):
@@ -854,361 +446,555 @@ def _parse_value(text: str):
     return text
 
 
-def _cmd_sweep(args) -> int:
-    from repro.experiments import sweepable_fields
+class SweepCommand(Command):
+    name = kind = "sweep"
+    help = "sweep one parameter of a file-copy"
 
-    if args.field not in sweepable_fields():
-        print(
-            f"unknown field {args.field!r}; choose from "
-            f"{', '.join(sorted(sweepable_fields()))}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        write_path = _resolve_write_path(args)
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    base = TestbedConfig(
-        netspec=_NETWORKS[args.net],
-        write_path=write_path,
-        nbiods=args.biods,
-        loss_rate=args.loss_rate,
-        net_seed=args.net_seed,
-    )
-    values = [_parse_value(v) for v in args.values]
-    results = run(
-        ExperimentSpec(
-            kind="sweep",
-            config=base,
+    def flags(self, d):
+        base = d.testbed
+        return [
+            _flag("field", help="TestbedConfig field, or interval_ms / presto_mb"),
+            _flag("values", nargs="+", help="values to sweep"),
+            _net(base.netspec.name),
+            *_write_path_flags(base.write_path, siva=False),
+            _flag("--biods", type=int, default=base.nbiods),
+            _flag("--file-mb", type=float, default=d.file_mb),
+            *_net_fault_flags(base),
+            JSON,
+        ]
+
+    def build(self, args, d):
+        return self.params(
+            testbed=_testbed(args, d.testbed),
             sweep_field=args.field,
-            values=values,
+            values=[_parse_value(value) for value in args.values],
             file_mb=args.file_mb,
         )
-    )
-    if args.json:
+
+    def render(self, results, params):
+        yield f"{params.sweep_field:>14} {'KB/s':>8} {'cpu %':>7} {'disk t/s':>9} {'batch':>7}"
+        for value, metrics in zip(params.values, results):
+            batch = f"{metrics.mean_batch_size:6.1f}" if metrics.mean_batch_size else "     -"
+            yield (
+                f"{str(value):>14} {metrics.client_kb_per_sec:>8.0f} "
+                f"{metrics.server_cpu_pct:>7.1f} {metrics.disk_trans_per_sec:>9.1f} {batch}"
+            )
+
+    def to_json(self, results, params):
         payload = {
-            "field": args.field,
-            "values": values,
+            "field": params.sweep_field,
+            "values": list(params.values),
             "results": [metrics.to_json() for metrics in results],
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    print(f"{args.field:>14} {'KB/s':>8} {'cpu %':>7} {'disk t/s':>9} {'batch':>7}")
-    for value, metrics in zip(values, results):
-        batch = f"{metrics.mean_batch_size:6.1f}" if metrics.mean_batch_size else "     -"
-        print(
-            f"{str(value):>14} {metrics.client_kb_per_sec:>8.0f} "
-            f"{metrics.server_cpu_pct:>7.1f} {metrics.disk_trans_per_sec:>9.1f} {batch}"
-        )
-    return 0
+        return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _cluster_config_from_args(args, write_path: WritePath, servers: int):
-    from repro.cluster import ClusterConfig
-
-    return ClusterConfig(
-        servers=servers,
-        vnodes=args.vnodes,
-        racks=args.racks,
-        netspec=_NETWORKS[args.net],
-        write_path=write_path,
-        nbiods=args.biods,
-        nfsds=args.nfsds,
-        presto_bytes=(1 << 20) if args.presto else None,
-        seed=args.seed,
+class ClusterCommand(Command):
+    name = kind = "cluster"
+    help = "run the sharded server fleet (repro.cluster)"
+    description = (
+        "Stand up N independent NFS servers behind a consistent-hash shard "
+        "map and a client-side mount router, run a seeded multi-client write "
+        "workload, and verify the cluster-wide crash contract.  Multiple "
+        "--servers or --clients values run a scaling sweep with a per-cell "
+        "efficiency table.  Exits 1 on any oracle violation."
     )
 
-
-def _print_cluster_result(result) -> None:
-    print(
-        f"cluster: {result.servers} servers x {result.clients} clients, "
-        f"{result.write_path} path, seed {result.seed}"
-    )
-    print(
-        f"  aggregate {result.aggregate_kb_per_sec:.0f} KB/s over "
-        f"{result.total_bytes // 1024} KB in {result.elapsed * 1000:.1f} ms"
-    )
-    ratio = result.mean_gather_ratio()
-    if ratio is not None:
-        print(f"  mean gather ratio {ratio:.3f}")
-    print(f"{'shard':<12} {'files':>5} {'writes':>7} {'disk KB':>8} {'cpu %':>6} {'gather':>7}")
-    for shard in result.per_shard:
-        host = shard["host"]
-        gather = (
-            f"{shard['gather_ratio']:7.3f}" if "gather_ratio" in shard else "      -"
-        )
-        print(
-            f"{host:<12} {result.placement.get(host, 0):>5} "
-            f"{shard['writes_completed']:>7} {shard['disk_bytes'] // 1024:>8} "
-            f"{shard['cpu_pct']:>6.1f} {gather}"
-        )
-    for fault in result.faults:
-        window = f"{fault['start'] * 1000:.1f}-{fault['end'] * 1000:.1f} ms"
-        redirected = " (redirected)" if fault["redirected"] else ""
-        print(f"  fault: {fault['host']} crashed at {window}{redirected}")
-    print(
-        f"  oracle: {result.acked_writes} acked writes, {result.oracle_checks} checks, "
-        f"{result.crashes} crashes, {result.retransmissions} retransmissions"
-    )
-    if result.clean:
-        print("  crash contract held: zero violations")
-    else:
-        print(f"  {len(result.violations)} VIOLATIONS:")
-        for violation in result.violations:
-            print(f"    {violation}")
-
-
-def _cmd_cluster(args) -> int:
-    from repro.cluster import ShardCrash
-
-    try:
-        write_path = _resolve_write_path(args)
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    sweep_mode = len(args.servers) > 1 or len(args.clients) > 1
-    if sweep_mode:
-        if args.crash_shard is not None:
-            print("--crash-shard only applies to single-cell runs", file=sys.stderr)
-            return 2
-        base = _cluster_config_from_args(args, write_path, servers=args.servers[0])
-
-        def progress(row) -> None:
-            if not args.json:
-                print(
-                    f"  ran {row.servers} servers x {row.clients} clients: "
-                    f"{row.aggregate_kb_per_sec:.0f} KB/s"
-                )
-
-        sweep = run(
-            ExperimentSpec(
-                kind="cluster",
-                config=base,
-                server_counts=args.servers,
-                client_counts=args.clients,
-                files_per_client=args.files,
-                file_kb=args.file_kb,
-                progress=progress,
-            )
-        )
-        if args.json:
-            print(sweep.to_json())
-        else:
-            print(
-                f"{'servers':>8} {'clients':>8} {'KB/s':>9} {'gather':>7} "
-                f"{'efficiency':>10} {'clean':>6}"
-            )
-            for row in sweep.table():
-                gather = (
-                    f"{row['mean_gather_ratio']:7.3f}"
-                    if row["mean_gather_ratio"] is not None
-                    else "      -"
-                )
-                efficiency = (
-                    f"{row['scaling_efficiency']:10.3f}"
-                    if "scaling_efficiency" in row
-                    else "         -"
-                )
-                print(
-                    f"{row['servers']:>8} {row['clients']:>8} "
-                    f"{row['aggregate_kb_per_sec']:>9.0f} {gather} {efficiency} "
-                    f"{'ok' if row['clean'] else 'BAD':>6}"
-                )
-        return 0 if sweep.clean else 1
-    crashes = None
-    if args.crash_shard is not None:
-        crashes = [
-            ShardCrash(
-                at=args.crash_at,
-                shard=args.crash_shard,
-                outage=args.outage,
-                redirect=args.redirect,
-            )
+    def flags(self, d):
+        base = d.cluster
+        sweep = "; more than one value runs a sweep"
+        return [
+            _flag("--servers", type=int, nargs="+", default=[base.servers],
+                  help="fleet size(s)" + sweep),
+            _flag("--clients", type=int, nargs="+", default=[d.clients],
+                  help="client count(s)" + sweep),
+            _flag("--vnodes", type=int, default=base.vnodes, help="virtual nodes per server"),
+            _flag("--racks", type=int, default=base.racks, help="network segments"),
+            _net(base.netspec.name),
+            *_write_path_flags(base.write_path),
+            PRESTO,
+            _flag("--biods", type=int, default=base.nbiods),
+            _flag("--nfsds", type=int, default=base.nfsds),
+            _flag("--file-kb", type=int, default=d.file_kb, help="size of each written file"),
+            _flag("--files", type=int, default=d.files_per_client, help="files written per client"),
+            _seed(base.seed),
+            _flag("--crash-shard", type=int,
+                  help="crash this shard index mid-run (single-cell runs only)"),
+            _flag("--crash-at", type=float, default=0.05, help="crash time in seconds"),
+            _flag("--outage", type=float, default=0.0,
+                  help="seconds the crashed shard stays partitioned"),
+            _flag("--redirect", action="store_true",
+                  help="drop the crashed shard from the mount map during the outage"),
+            JSON,
         ]
-    config = _cluster_config_from_args(args, write_path, servers=args.servers[0])
-    result = run(
-        ExperimentSpec(
-            kind="cluster",
-            config=config,
+
+    def build(self, args, d):
+        from repro.cluster import ShardCrash
+
+        cluster = replace(
+            d.cluster,
+            servers=args.servers[0],
+            vnodes=args.vnodes,
+            racks=args.racks,
+            netspec=NETWORKS[args.net],
+            write_path=_write_path(args),
+            nbiods=args.biods,
+            nfsds=args.nfsds,
+            presto_bytes=(1 << 20) if args.presto else None,
+            seed=args.seed,
+        )
+        crashes = None
+        if args.crash_shard is not None:
+            crash = ShardCrash(
+                at=args.crash_at, shard=args.crash_shard, outage=args.outage, redirect=args.redirect
+            )
+            crashes = [crash]
+        sweep = len(args.servers) > 1 or len(args.clients) > 1
+        return self.params(
+            cluster=cluster,
             clients=args.clients[0],
             files_per_client=args.files,
             file_kb=args.file_kb,
             crashes=crashes,
+            server_counts=args.servers if sweep else None,
+            client_counts=args.clients if sweep else None,
         )
-    )
-    if args.json:
-        print(result.to_json())
-    else:
-        _print_cluster_result(result)
-    return 0 if result.clean else 1
 
+    def progress(self, row):
+        return (
+            f"  ran {row.servers} servers x {row.clients} clients: "
+            f"{row.aggregate_kb_per_sec:.0f} KB/s"
+        )
 
-def _cmd_replica(args) -> int:
-    from repro.cluster import ClusterConfig
+    def render(self, result, params):
+        if params.sweep:
+            yield from self._render_sweep(result)
+            return
+        yield (
+            f"cluster: {result.servers} servers x {result.clients} clients, "
+            f"{result.write_path} path, seed {result.seed}"
+        )
+        yield (
+            f"  aggregate {result.aggregate_kb_per_sec:.0f} KB/s over "
+            f"{result.total_bytes // 1024} KB in {result.elapsed * 1000:.1f} ms"
+        )
+        ratio = result.mean_gather_ratio()
+        if ratio is not None:
+            yield f"  mean gather ratio {ratio:.3f}"
+        yield f"{'shard':<12} {'files':>5} {'writes':>7} {'disk KB':>8} {'cpu %':>6} {'gather':>7}"
+        for shard in result.per_shard:
+            host = shard["host"]
+            gather = f"{shard['gather_ratio']:7.3f}" if "gather_ratio" in shard else "      -"
+            yield (
+                f"{host:<12} {result.placement.get(host, 0):>5} "
+                f"{shard['writes_completed']:>7} {shard['disk_bytes'] // 1024:>8} "
+                f"{shard['cpu_pct']:>6.1f} {gather}"
+            )
+        for fault in result.faults:
+            window = f"{fault['start'] * 1000:.1f}-{fault['end'] * 1000:.1f} ms"
+            redirected = " (redirected)" if fault["redirected"] else ""
+            yield f"  fault: {fault['host']} crashed at {window}{redirected}"
+        yield (
+            f"  oracle: {result.acked_writes} acked writes, {result.oracle_checks} checks, "
+            f"{result.crashes} crashes, {result.retransmissions} retransmissions"
+        )
+        yield from _violations(
+            result.clean, result.violations, "crash contract held: zero violations", "  "
+        )
 
-    config = ClusterConfig(
-        servers=args.servers,
-        netspec=_NETWORKS[args.net],
-        write_path=WritePath.GATHER,
-        quorum=args.quorum,
-        seed=args.seed,
-    )
-
-    def progress(arm) -> None:
-        if not args.json:
-            print(
-                f"  K={arm.replicas} quorum={arm.quorum}: "
-                f"{arm.aggregate_kb_per_sec:>8.0f} KB/s  "
-                f"p50 {arm.write_latency_ms['p50']:>7.2f} ms  "
-                f"p99 {arm.write_latency_ms['p99']:>7.2f} ms  "
-                f"{arm.crashes} crashes, {arm.promotions} promotions, "
-                f"{'clean' if arm.clean else 'VIOLATIONS'}"
+    @staticmethod
+    def _render_sweep(sweep):
+        yield (
+            f"{'servers':>8} {'clients':>8} {'KB/s':>9} {'gather':>7} "
+            f"{'efficiency':>10} {'clean':>6}"
+        )
+        for row in sweep.table():
+            ratio = row["mean_gather_ratio"]
+            gather = f"{ratio:7.3f}" if ratio is not None else "      -"
+            efficiency = row.get("scaling_efficiency")
+            efficiency = f"{efficiency:10.3f}" if efficiency is not None else "         -"
+            yield (
+                f"{row['servers']:>8} {row['clients']:>8} "
+                f"{row['aggregate_kb_per_sec']:>9.0f} {gather} {efficiency} "
+                f"{'ok' if row['clean'] else 'BAD':>6}"
             )
 
-    if not args.json:
-        print(
-            f"replica: {args.servers} shards x {args.clients} clients, "
-            f"{args.crashes}-crash storm, seed {args.seed}"
+    def ok(self, result):
+        return result.clean
+
+
+class OverloadCommand(Command):
+    name = kind = "overload"
+    help = "goodput-vs-load sweep past saturation (repro.overload)"
+    description = (
+        "Drive a client fleet past server saturation through a mid-run "
+        "retransmit storm, comparing the paper-era static 1.1 s retransmission "
+        "schedule against the adaptive stack (Van Jacobson RTO with Karn's "
+        "rule and seeded jitter, an AIMD write window, and server admission "
+        "control with dup-cache-aware shedding).  Each combo also crashes the "
+        "server mid-storm and asserts that every client-acked write survived.  "
+        "Exits 1 on any crash-contract violation, a non-monotone adaptive "
+        "curve, or adaptive goodput below static at the top load."
+    )
+
+    def flags(self, d):
+        loads_kbs = " ".join(f"{rate / 1024:.1f}" for rate in d.loads)
+        return [
+            _seed(d.seed),
+            _write_paths(d.write_paths),
+            _presto_arms(d.presto_modes),
+            _flag("--loads", type=float, nargs="+", metavar="KBS",
+                  help=f"per-client offered rates in KB/s, ascending (default: {loads_kbs})"),
+            _flag("--clients", type=int, default=d.clients, help="fleet size"),
+            _flag("--duration", type=float, default=d.duration,
+                  help="measured window per point, seconds"),
+            _flag("--no-adapt", action="store_true",
+                  help="run only the static (no-adaptation) curve"),
+            _flag("--adapt-only", action="store_true", help="run only the adaptive curve"),
+            JSON,
+        ]
+
+    def build(self, args, d):
+        if args.no_adapt and args.adapt_only:
+            raise ValueError("--no-adapt and --adapt-only are mutually exclusive")
+        modes = ("static",) if args.no_adapt else ("adaptive",) if args.adapt_only else d.modes
+        loads = d.loads if args.loads is None else tuple(int(round(kb * 1024)) for kb in args.loads)
+        return self.params(
+            seed=args.seed,
+            write_paths=tuple(args.write_paths),
+            presto_modes=PRESTO_ARMS[args.presto],
+            modes=modes,
+            clients=args.clients,
+            duration=args.duration,
+            loads=loads,
         )
-    result = run(
-        ExperimentSpec(
-            kind="replica",
-            config=config,
-            replica_counts=args.replicas,
+
+    def header(self, config):
+        loads_kbs = ", ".join(f"{rate / 1024:.1f}" for rate in config.loads)
+        return (
+            f"overload sweep: seed={config.seed}, {config.clients} clients, "
+            f"loads [{loads_kbs}] KB/s each, modes {'+'.join(config.modes)}"
+        )
+
+    def progress(self, line):
+        return f"  {line}"
+
+    def render(self, report, config):
+        for combo in report.combos:
+            tag = f"{combo['write_path']}/presto={'on' if combo['presto'] else 'off'}"
+            for mode, curve in combo["curves"].items():
+                shape = "COLLAPSE" if curve["collapse"] else (
+                    "plateau" if curve["monotone_nondecreasing"] else "noisy"
+                )
+                yield f"  {tag:<24} {mode:<8} top {curve['goodput_kbs'][-1]:7.1f} KB/s  {shape}"
+            verdict = combo.get("verdict")
+            if verdict is not None:
+                outcome = "holds" if verdict["adaptation_wins"] else "FAILS"
+                yield (
+                    f"  {tag:<24} adaptation {outcome}: "
+                    f"{verdict['adaptive_top_goodput_kbs']:.1f} vs "
+                    f"{verdict['static_top_goodput_kbs']:.1f} KB/s at top load"
+                )
+        yield from _violations(
+            report.clean, report.violations, "crash contract held: zero violations"
+        )
+
+    def ok(self, report):
+        return report.clean and report.adaptation_holds
+
+
+class BenchCommand(Command):
+    name = kind = "bench"
+    help = "run the perf-baseline grid and emit BENCH_<n>.json"
+    description = (
+        "One seeded file copy per cell of every write path x Presto off/on, "
+        "reporting throughput, p50/p99 write latency, and disk writes per "
+        "MB.  CI uploads the JSON as an artifact so perf-affecting PRs have a "
+        "baseline to diff against."
+    )
+
+    def flags(self, d):
+        return [
+            _net(d.net),
+            _flag("--file-mb", type=float, default=d.file_mb, help="copy size"),
+            _flag("--biods", type=int, default=d.biods),
+            _seed(d.seed),
+            OUT,
+            _payload(d.payload),
+            JSON,
+        ]
+
+    def build(self, args, d):
+        return self.params(
+            net=args.net,
+            file_mb=args.file_mb,
+            biods=args.biods,
+            seed=args.seed,
+            payload=args.payload,
+        )
+
+    def header(self, p):
+        return f"bench: {p.net}, {p.file_mb} MB copy, {p.biods} biods, seed {p.seed}"
+
+    def progress(self, cell):
+        presto = "presto" if cell["presto"] else "plain "
+        latency = cell["write_latency_ms"]
+        return (
+            f"  {cell['write_path']:<8} {presto} {cell['client_kb_per_sec']:>8.1f} KB/s  "
+            f"p50 {latency['p50']:>7.2f} ms  p99 {latency['p99']:>7.2f} ms  "
+            f"{cell['disk_writes_per_mb']:>6.1f} dw/MB"
+        )
+
+    def to_json(self, report, params):
+        return bench_to_json(report)
+
+
+class ReplicaCommand(Command):
+    name = kind = "replica"
+    help = "replicated shards under a crash-and-promote storm (repro.replica)"
+    description = (
+        "Run the sharded write workload once per replication factor while a "
+        "seeded storm kills acting primaries mid-run.  With K>0 each kill "
+        "promotes the shard's freshest backup; the group oracle asserts that "
+        "no acked write is ever missing from the surviving replica set, and a "
+        "post-quiesce pass byte-compares the survivors.  The K=0 arm is the "
+        "unreplicated baseline, so the report prices the guarantee: p99 write "
+        "latency and throughput vs K=0.  Exits 1 on any violation."
+    )
+
+    def flags(self, d):
+        base = d.cluster
+        return [
+            _flag("--servers", type=int, default=base.servers, help="shard count"),
+            _flag("--clients", type=int, default=d.clients, help="client count"),
+            _flag("--replicas", type=int, nargs="+", default=list(d.replica_counts), metavar="K",
+                  help="backups per shard; each value is one arm"),
+            _flag("--quorum", type=int, default=base.quorum,
+                  help="backup acks required before a write is acked"),
+            _flag("--files", type=int, default=d.files_per_client, help="files written per client"),
+            _flag("--file-kb", type=int, default=d.file_kb, help="size of each written file"),
+            _flag("--crashes", type=int, default=d.storm_crashes,
+                  help="primary kills in the storm, round-robin over shards"),
+            _net(base.netspec.name),
+            _seed(base.seed),
+            _payload(d.payload),
+            JSON,
+        ]
+
+    def build(self, args, d):
+        cluster = replace(
+            d.cluster,
+            servers=args.servers,
+            netspec=NETWORKS[args.net],
+            quorum=args.quorum,
+            seed=args.seed,
+        )
+        return self.params(
+            cluster=cluster,
+            replica_counts=tuple(args.replicas),
             clients=args.clients,
             files_per_client=args.files,
             file_kb=args.file_kb,
             storm_crashes=args.crashes,
             payload=args.payload,
-            progress=progress,
         )
-    )
-    if args.json:
-        print(result.to_json())
-    else:
+
+    def header(self, p):
+        return (
+            f"replica: {p.cluster.servers} shards x {p.clients} clients, "
+            f"{p.storm_crashes}-crash storm, seed {p.cluster.seed}"
+        )
+
+    def progress(self, arm):
+        return (
+            f"  K={arm.replicas} quorum={arm.quorum}: "
+            f"{arm.aggregate_kb_per_sec:>8.0f} KB/s  "
+            f"p50 {arm.write_latency_ms['p50']:>7.2f} ms  "
+            f"p99 {arm.write_latency_ms['p99']:>7.2f} ms  "
+            f"{arm.crashes} crashes, {arm.promotions} promotions, "
+            f"{'clean' if arm.clean else 'VIOLATIONS'}"
+        )
+
+    def render(self, result, params):
         for row in result.comparison():
-            print(
+            yield (
                 f"  K={row['replicas']} vs K=0: "
                 f"p99 write latency x{row['p99_write_latency_vs_k0']}, "
                 f"throughput x{row['throughput_vs_k0']}"
             )
         for arm in result.arms:
             for violation in arm.violations:
-                print(f"  K={arm.replicas} VIOLATION: {violation}")
+                yield f"  K={arm.replicas} VIOLATION: {violation}"
         if result.clean:
-            print("  zero-acked-write-loss guarantee held across every arm")
-    return 0 if result.clean else 1
+            yield "  zero-acked-write-loss guarantee held across every arm"
+
+    def ok(self, result):
+        return result.clean
 
 
-def _cmd_cache(args) -> int:
-    from repro.lease.experiment import CacheConfig
+class CacheCommand(Command):
+    name = kind = "cache"
+    help = "lease-cache RPC-reduction sweep + staleness chaos probes (repro.lease)"
+    description = (
+        "Measure what client-side caching under server-granted leases buys: "
+        "RPCs per user operation on a shared-read/private-write workload, "
+        "swept over lease TTL x sharing ratio with leases on vs off, plus "
+        "compact before/after profiles of the copy, LADDIS, cluster, and "
+        "overload workloads.  Then probe the staleness contract under chaos "
+        "(server crash mid-recall, a severed callback path, a holder "
+        "partitioned past its TTL) with an omniscient oracle watching every "
+        "served cache hit.  Exits 1 on any staleness violation or if the "
+        "headline cell misses its required reduction."
+    )
 
-    kwargs = {}
-    if args.ttls is not None:
-        kwargs["lease_ttls"] = tuple(args.ttls)
-    if args.sharing is not None:
-        kwargs["sharing_ratios"] = tuple(args.sharing)
-    try:
-        config = CacheConfig(
+    def flags(self, d):
+        ttls = " ".join(f"{ttl:g}" for ttl in d.lease_ttls)
+        ratios = " ".join(f"{ratio:g}" for ratio in d.sharing_ratios)
+        return [
+            _seed(d.seed),
+            _flag("--ttls", type=float, nargs="+", metavar="SEC",
+                  help=f"lease TTL axis in seconds (default: {ttls}; must include the "
+                  "headline TTL)"),
+            _flag("--sharing", type=float, nargs="+", metavar="RATIO",
+                  help=f"shared-read fractions in [0,1] (default: {ratios}; must include the "
+                  "headline ratio)"),
+            _flag("--clients", type=int, default=d.clients, help="fleet size"),
+            _flag("--ops", type=int, default=d.ops_per_client, help="operations per client"),
+            _flag("--no-chaos", action="store_true",
+                  help="skip the chaos probes (sweep and workload profiles only)"),
+            JSON,
+        ]
+
+    def build(self, args, d):
+        return self.params(
             seed=args.seed,
             clients=args.clients,
             ops_per_client=args.ops,
             chaos=not args.no_chaos,
-            **kwargs,
+            lease_ttls=tuple(args.ttls) if args.ttls else d.lease_ttls,
+            sharing_ratios=tuple(args.sharing) if args.sharing else d.sharing_ratios,
         )
-    except ValueError as exc:
-        print(f"cache: {exc}", file=sys.stderr)
-        return 2
 
-    def progress(line: str) -> None:
-        if not args.json:
-            print(f"  {line}")
-
-    if not args.json:
+    def header(self, config):
         ttls = ", ".join(f"{t:g}" for t in config.lease_ttls)
         ratios = ", ".join(f"{s:g}" for s in config.sharing_ratios)
-        print(
+        return (
             f"cache sweep: seed={config.seed}, {config.clients} clients, "
             f"TTLs [{ttls}] s x sharing [{ratios}]"
         )
-    report = run(ExperimentSpec(kind="cache", config=config, progress=progress))
-    if args.json:
-        print(report.to_json())
-    else:
+
+    def progress(self, line):
+        return f"  {line}"
+
+    def render(self, report, config):
         cell = report.headline
         if cell is not None:
             verdict = "meets" if report.meets_target else "MISSES"
-            print(
+            yield (
                 f"  headline (ttl={config.headline_ttl:g}s, "
                 f"sharing={config.headline_sharing:g}): "
                 f"x{cell['reduction']:g} reduction — {verdict} the "
                 f"x{config.min_reduction:g} target"
             )
-        if report.clean:
-            print("  staleness contract held: zero violations")
-        else:
-            print(f"  {len(report.violations)} VIOLATIONS:")
-            for violation in report.violations:
-                print(f"    {violation}")
-    return 0 if report.clean and report.meets_target else 1
-
-
-def _cmd_commit(args) -> int:
-    from repro.commit.experiment import CommitConfig
-
-    try:
-        config = CommitConfig(
-            seed=args.seed,
-            file_mb=args.file_mb,
-            biods=args.biods,
-            chaos=not args.no_chaos,
+        yield from _violations(
+            report.clean, report.violations, "staleness contract held: zero violations", "  "
         )
-    except ValueError as exc:
-        print(f"commit: {exc}", file=sys.stderr)
-        return 2
 
-    def progress(line: str) -> None:
-        if not args.json:
-            print(f"  {line}")
+    def ok(self, report):
+        return report.clean and report.meets_target
 
-    if not args.json:
-        print(
+
+class CommitCommand(Command):
+    name = kind = "commit"
+    help = "async WRITE+COMMIT three-way comparison + verifier probes (repro.commit)"
+    description = (
+        "Compare the async_commit write path (unstable WRITEs acked from "
+        "volatile memory, boot verifiers, explicit COMMIT) against the "
+        "standard and gather paths on the seeded bench copy, open both "
+        "memory-pressure valves against a shrunken volatile ceiling, run the "
+        "K=1 crash-and-promote storm on both paths, and probe the verifier "
+        "lifecycle under chaos (crash mid-unstable-window, crash between "
+        "WRITE and COMMIT, promotion mid-COMMIT).  Exits 1 on any oracle "
+        "violation or if async_commit fails to beat the standard path on p50 "
+        "write latency and throughput."
+    )
+
+    def flags(self, d):
+        return [
+            _seed(d.seed),
+            _flag("--file-mb", type=float, default=d.file_mb, help="bench copy size in MB"),
+            _flag("--biods", type=int, default=d.biods, help="client write-behind depth"),
+            _flag("--no-chaos", action="store_true",
+                  help="skip the verifier-lifecycle chaos probes"),
+            OUT,
+            JSON,
+        ]
+
+    def build(self, args, d):
+        return self.params(
+            seed=args.seed, file_mb=args.file_mb, biods=args.biods, chaos=not args.no_chaos
+        )
+
+    def header(self, config):
+        return (
             f"commit: {config.file_mb} MB copy x "
             f"{'/'.join(config.write_paths)}, seed {config.seed}"
         )
-    report = run(ExperimentSpec(kind="commit", config=config, progress=progress))
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(report.to_json())
-            handle.write("\n")
-        if not args.json:
-            print(f"wrote {args.out}")
-    if args.json:
-        print(report.to_json())
-    else:
+
+    def progress(self, line):
+        return f"  {line}"
+
+    def render(self, report, config):
         comparison = report.comparison
         if comparison is not None:
             verdict = "beats" if report.async_beats_standard else "DOES NOT BEAT"
-            print(
+            yield (
                 f"  async_commit {verdict} standard: "
                 f"p50 x{comparison['p50_vs_standard']}, "
                 f"throughput x{comparison['throughput_vs_standard']}"
             )
-        if report.clean:
-            print("  commit contract held: zero violations")
-        else:
-            print(f"  {len(report.violations)} VIOLATIONS:")
-            for violation in report.violations:
-                print(f"    {violation}")
-    return 0 if report.ok else 1
+        yield from _violations(
+            report.clean, report.violations, "commit contract held: zero violations", "  "
+        )
+
+    def ok(self, report):
+        return report.ok
 
 
-def _cmd_scrub(args) -> int:
-    from repro.integrity.experiment import ScrubConfig
+class ScrubCommand(Command):
+    name = kind = "scrub"
+    help = "end-to-end integrity sweep: corruption x scrub bandwidth x K (repro.integrity)"
+    description = (
+        "Run the seeded write workload under a media-fault storm (bit rot, "
+        "latent sector errors, a torn write and an NVRAM battery degrade "
+        "cashed in by a mid-run crash) while a background scrubber walks the "
+        "durable image verifying per-block checksums.  With replicas (K>=1) "
+        "every defect must self-heal from a replica-group peer; standalone "
+        "(K=0) every defect must surface as a quarantine + EIO.  In every "
+        "arm, zero acked READs may return bytes differing from the acked "
+        "write image.  Exits 1 on any silent corruption, missed convergence, "
+        "or unhealed defect at K>=1."
+    )
 
-    try:
-        config = ScrubConfig(
+    def flags(self, d):
+        return [
+            _seed(d.seed),
+            _flag("--clients", type=int, default=d.clients, help="client hosts"),
+            _flag("--files-per-client", type=int, default=d.files_per_client, help="files each"),
+            _flag("--file-kb", type=int, default=d.file_kb, help="file size in KB"),
+            _flag("--rates", type=float, nargs="+", default=list(d.corruption_rates), metavar="R",
+                  help="corruption rates to sweep, fraction of durable blocks afflicted "
+                  "per media fault"),
+            _flag("--bandwidths", type=float, nargs="+", default=list(d.scrub_bandwidths),
+                  metavar="BPS", help="scrub read bandwidths in bytes/sec"),
+            _flag("--replicas", type=int, nargs="+", default=list(d.replica_counts), metavar="K",
+                  help="replication factors to sweep"),
+            OUT,
+            JSON,
+        ]
+
+    def build(self, args, d):
+        return self.params(
             seed=args.seed,
             clients=args.clients,
             files_per_client=args.files_per_client,
@@ -1217,177 +1003,188 @@ def _cmd_scrub(args) -> int:
             scrub_bandwidths=tuple(args.bandwidths),
             replica_counts=tuple(args.replicas),
         )
-    except ValueError as exc:
-        print(f"scrub: {exc}", file=sys.stderr)
-        return 2
 
-    def progress(arm) -> None:
-        if not args.json:
-            healed = (
-                f"{arm.repairs} repaired"
-                if arm.replicas
-                else f"{arm.quarantines} quarantined, {arm.eio_reads} EIO"
-            )
-            print(
-                f"  K={arm.replicas} rate={arm.corruption_rate} "
-                f"bw={arm.scrub_bandwidth / (1 << 20):.0f}MiB/s: "
-                f"{arm.detections} detected, {healed}, "
-                f"{arm.silent_read_corruptions} silent "
-                f"[{'clean' if arm.clean else 'DIRTY'}]"
-            )
-
-    if not args.json:
-        print(
+    def header(self, config):
+        return (
             f"scrub: {config.clients} clients x {config.files_per_client} "
             f"files x {config.file_kb} KB, seed {config.seed}"
         )
-    report = run(ExperimentSpec(kind="scrub", config=config, progress=progress))
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(report.to_json())
-            handle.write("\n")
-        if not args.json:
-            print(f"wrote {args.out}")
-    if args.json:
-        print(report.to_json())
-    else:
+
+    def progress(self, arm):
+        healed = (
+            f"{arm.repairs} repaired"
+            if arm.replicas
+            else f"{arm.quarantines} quarantined, {arm.eio_reads} EIO"
+        )
+        return (
+            f"  K={arm.replicas} rate={arm.corruption_rate} "
+            f"bw={arm.scrub_bandwidth / (1 << 20):.0f}MiB/s: "
+            f"{arm.detections} detected, {healed}, "
+            f"{arm.silent_read_corruptions} silent "
+            f"[{'clean' if arm.clean else 'DIRTY'}]"
+        )
+
+    def render(self, report, config):
         if report.clean:
-            print("  integrity contract held: nothing silent, all healed/surfaced")
-        else:
-            for arm in report.arms:
-                if arm.clean:
-                    continue
-                print(
-                    f"  DIRTY arm K={arm.replicas} rate={arm.corruption_rate} "
-                    f"bw={arm.scrub_bandwidth}:"
-                )
-                for violation in arm.violations:
-                    print(f"    {violation}")
-    return 0 if report.clean else 1
+            yield "  integrity contract held: nothing silent, all healed/surfaced"
+            return
+        for arm in report.arms:
+            if arm.clean:
+                continue
+            yield (
+                f"  DIRTY arm K={arm.replicas} rate={arm.corruption_rate} "
+                f"bw={arm.scrub_bandwidth}:"
+            )
+            for violation in arm.violations:
+                yield f"    {violation}"
+
+    def ok(self, report):
+        return report.clean
 
 
-def _cmd_tiering(args) -> int:
-    from repro.tiering.experiment import POLICY_NAMES, TieringConfig
+class TieringCommand(Command):
+    name = kind = "tiering"
+    help = "heterogeneous-tier placement sweep + crash-safe migration storm (repro.tiering)"
+    description = (
+        "Run the Zipf-hot multi-tenant append workload against an all-cold "
+        "fleet (the baseline) and against a mixed fleet whose hot tier "
+        "carries Presto NVRAM, once per placement policy.  Then replay it "
+        "with replication while a MigrationEngine live-demotes the hottest "
+        "files hot->cold under injected shard crashes, a network partition, "
+        "and replica promotions timed to land mid-copy.  The migration "
+        "contract — every acked range satisfiable at exactly one "
+        "authoritative location — is checked at every fault and at quiesce.  "
+        "Exits 1 on any oracle violation."
+    )
 
-    try:
-        config = TieringConfig(
+    def flags(self, d):
+        return [
+            _seed(d.seed),
+            _flag("--tenants", type=int, default=d.tenants, help="tenant clients"),
+            _flag("--files-per-tenant", type=int, default=d.files_per_tenant, help="files each"),
+            _flag("--ops", type=int, default=d.ops_per_tenant, help="appends per tenant"),
+            _flag("--skew", type=float, default=d.skew, help="per-tenant Zipf skew; 0 = uniform"),
+            _flag("--policies", nargs="+", metavar="POLICY",
+                  help=f"placement policies to sweep (default: {' '.join(d.policies)})"),
+            OUT,
+            JSON,
+        ]
+
+    def build(self, args, d):
+        return self.params(
             seed=args.seed,
             tenants=args.tenants,
             files_per_tenant=args.files_per_tenant,
             ops_per_tenant=args.ops,
             skew=args.skew,
-            policies=tuple(args.policies) if args.policies else POLICY_NAMES,
+            policies=tuple(args.policies) if args.policies else d.policies,
         )
-    except ValueError as exc:
-        print(f"tiering: {exc}", file=sys.stderr)
-        return 2
 
-    def progress(arm) -> None:
-        if args.json:
-            return
+    def header(self, config):
+        return (
+            f"tiering: {config.tenants} tenants x {config.files_per_tenant} "
+            f"files x {config.ops_per_tenant} appends, skew {config.skew}, "
+            f"seed {config.seed}"
+        )
+
+    def progress(self, arm):
         if isinstance(arm, dict):  # the storm report
-            print(
+            return (
                 f"  storm: {arm['completed']}/{arm['started']} migrations, "
                 f"{arm['crashes']} crashes, {arm['promotions']} promotions "
                 f"[{'clean' if arm['clean'] else 'DIRTY'}]"
             )
-            return
         latency = arm.write_latency_ms
-        print(
+        return (
             f"  {arm.fleet:<8} {arm.policy:<10} "
             f"p50 {latency['p50']:>8.2f} ms  p99 {latency['p99']:>8.2f} ms  "
             f"{arm.placement['files_by_tier']} "
             f"[{'clean' if arm.clean else 'DIRTY'}]"
         )
 
-    if not args.json:
-        print(
-            f"tiering: {config.tenants} tenants x {config.files_per_tenant} "
-            f"files x {config.ops_per_tenant} appends, skew {config.skew}, "
-            f"seed {config.seed}"
-        )
-    result = run(ExperimentSpec(kind="tiering", config=config, progress=progress))
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(result.to_json())
-            handle.write("\n")
-        if not args.json:
-            print(f"wrote {args.out}")
-    if args.json:
-        print(result.to_json())
-    else:
+    def render(self, result, config):
         verdict = "beats" if result.hot_beats_cold else "DOES NOT BEAT"
-        print(f"  mixed fleet {verdict} all-cold on p99 write latency")
+        yield f"  mixed fleet {verdict} all-cold on p99 write latency"
         if result.clean:
-            print("  migration contract held: zero violations")
-        else:
-            for arm in result.arms:
-                for violation in arm.violations:
-                    print(f"    {violation}")
-            for violation in result.storm.get("violations", []):
-                print(f"    {violation}")
-    return 0 if result.clean else 1
+            yield "  migration contract held: zero violations"
+            return
+        for arm in result.arms:
+            for violation in arm.violations:
+                yield f"    {violation}"
+        for violation in result.storm.get("violations", []):
+            yield f"    {violation}"
+
+    def ok(self, result):
+        return result.clean
 
 
-def _cmd_bench(args) -> int:
-    from repro.experiments.bench import bench_to_json, write_bench
-
-    def progress(cell) -> None:
-        if not args.json:
-            presto = "presto" if cell["presto"] else "plain "
-            print(
-                f"  {cell['write_path']:<8} {presto} "
-                f"{cell['client_kb_per_sec']:>8.1f} KB/s  "
-                f"p50 {cell['write_latency_ms']['p50']:>7.2f} ms  "
-                f"p99 {cell['write_latency_ms']['p99']:>7.2f} ms  "
-                f"{cell['disk_writes_per_mb']:>6.1f} dw/MB"
-            )
-
-    if not args.json:
-        print(
-            f"bench: {args.net}, {args.file_mb} MB copy, {args.biods} biods, "
-            f"seed {args.seed}"
-        )
-    report = run(
-        ExperimentSpec(
-            kind="bench",
-            net=args.net,
-            file_mb=args.file_mb,
-            biods=args.biods,
-            seed=args.seed,
-            payload=args.payload,
-            progress=progress,
-        )
+COMMANDS: Dict[str, Command] = {
+    command.name: command
+    for command in (
+        TableCommand(),
+        CopyCommand(),
+        TraceCommand(),
+        LaddisCommand(),
+        ClaimsCommand(),
+        ChaosCommand(),
+        SweepCommand(),
+        ClusterCommand(),
+        OverloadCommand(),
+        BenchCommand(),
+        ReplicaCommand(),
+        CacheCommand(),
+        CommitCommand(),
+        ScrubCommand(),
+        TieringCommand(),
     )
-    if args.out:
-        write_bench(report, args.out)
-        if not args.json:
-            print(f"wrote {args.out}")
-    if args.json:
-        print(bench_to_json(report))
-    return 0
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Reproduce 'Improving the Write Performance of an NFS Server' (USENIX 1994).",
+    )
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for command in COMMANDS.values():
+        sub = subparsers.add_parser(
+            command.name,
+            help=command.help,
+            description=command.description,
+            formatter_class=_HelpFormatter,
+        )
+        for names, options in command.flags(command.params()):
+            sub.add_argument(*names, **options)
+    return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Parse, build the params, run the kind, print; the one driver."""
     args = build_parser().parse_args(argv)
-    handlers = {
-        "table": _cmd_table,
-        "copy": _cmd_copy,
-        "trace": _cmd_trace,
-        "laddis": _cmd_laddis,
-        "claims": _cmd_claims,
-        "chaos": _cmd_chaos,
-        "overload": _cmd_overload,
-        "sweep": _cmd_sweep,
-        "cluster": _cmd_cluster,
-        "replica": _cmd_replica,
-        "bench": _cmd_bench,
-        "cache": _cmd_cache,
-        "commit": _cmd_commit,
-        "scrub": _cmd_scrub,
-        "tiering": _cmd_tiering,
-    }
-    return handlers[args.command](args)
+    command = COMMANDS[args.command]
+    try:
+        params = command.build(args, command.params())
+    except ValueError as exc:
+        print(f"{command.name}: {exc}", file=sys.stderr)
+        return 2
+    as_json = getattr(args, "json", False)
+    header = None if as_json else command.header(params)
+    if header is not None:
+        print(header)
+    progress = None
+    if command.progress is not None and not as_json:
+        progress = lambda item: print(command.progress(item))  # noqa: E731
+    result = command.execute(params, progress)
+    out = getattr(args, "out", None)
+    if out:
+        with open(out, "w") as handle:
+            handle.write(command.to_json(result, params) + "\n")
+        if not as_json:
+            print(f"wrote {out}")
+    lines = [command.to_json(result, params)] if as_json else command.render(result, params)
+    for line in lines:
+        print(line)
+    return 0 if command.ok(result) else 1
 
 
 if __name__ == "__main__":

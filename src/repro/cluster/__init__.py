@@ -19,16 +19,11 @@ Layout:
   router-driven ack dispatch;
 * :mod:`~repro.cluster.failover` — scripted shard crashes with outage
   windows and mount-map redirect;
-* :mod:`~repro.cluster.experiment` — :func:`run_cluster` and the
-  servers × clients :func:`run_scaling_sweep`.
+* :mod:`~repro.cluster.experiment` — ``kind="cluster"``: one fleet run
+  or the servers × clients scaling sweep.
 """
 
-from repro.cluster.experiment import (
-    ClusterRunResult,
-    ScalingSweepResult,
-    run_cluster,
-    run_scaling_sweep,
-)
+from repro.cluster.experiment import ClusterParams, ClusterRunResult, ScalingSweepResult
 from repro.cluster.failover import FailoverController, ShardCrash
 from repro.cluster.fleet import Cluster, ClusterConfig, build_cluster
 from repro.cluster.oracle import ClusterOracle
@@ -39,6 +34,7 @@ __all__ = [
     "Cluster",
     "ClusterConfig",
     "ClusterOracle",
+    "ClusterParams",
     "ClusterRpc",
     "ClusterRunResult",
     "FailoverController",
@@ -47,6 +43,4 @@ __all__ = [
     "ShardCrash",
     "ShardMap",
     "build_cluster",
-    "run_cluster",
-    "run_scaling_sweep",
 ]

@@ -1,14 +1,15 @@
 """Cluster-wide experiments: the sharded write workload and scaling sweeps.
 
-:func:`run_cluster` is the fleet analogue of the paper's file copy: every
+``kind="cluster"`` (:class:`ClusterParams`) is the fleet analogue of the paper's file copy: every
 client writes its own set of files, the shard map spreads those files
 across the fleet, and the result records aggregate throughput next to
 *per-shard* gathering efficacy — the tension this subsystem exists to
 measure.  Sharding multiplies spindles and nfsd pools, but it also thins
 each server's request stream, and write gathering (§5-§6) feeds on a
 busy server: fewer same-file companions in the socket buffer means more
-singleton batches.  :func:`run_scaling_sweep` quantifies exactly that
-trade as servers × clients grow.
+singleton batches.  Given ``server_counts``/``client_counts`` the same
+kind runs a scaling sweep that quantifies exactly that trade as servers ×
+clients grow.
 
 Everything is seeded: the same :class:`ClusterConfig` produces the same
 placement, the same sim timeline, and byte-identical JSON.
@@ -20,17 +21,16 @@ import json
 from dataclasses import dataclass, field
 from typing import Generator, List, Optional, Sequence
 
-import warnings
-
-from repro.cluster.failover import FailoverController, ShardCrash
+from repro.cluster.failover import FailoverController, ShardCrash, check_plan
 from repro.cluster.fleet import Cluster, ClusterConfig
 from repro.cluster.oracle import ClusterOracle
+from repro.experiments.runner import register
 from repro.nfs.client import NfsClient
-from repro.payload import PAYLOAD_FULL
+from repro.payload import PAYLOAD_FULL, coerce_payload_mode
 from repro.sim import AllOf, Environment
 from repro.workload.sequential import write_file
 
-__all__ = ["ClusterRunResult", "ScalingSweepResult", "run_cluster", "run_scaling_sweep"]
+__all__ = ["ClusterParams", "ClusterRunResult", "ScalingSweepResult"]
 
 
 @dataclass
@@ -140,18 +140,46 @@ def _client_workload(
 CLUSTER_THINK_TIME = 0.006
 
 
-def _run_cluster(
-    config: ClusterConfig,
-    clients: int = 4,
-    files_per_client: int = 2,
-    file_kb: int = 64,
-    think_time: float = CLUSTER_THINK_TIME,
-    crashes: Optional[Sequence[ShardCrash]] = None,
-    payload: str = PAYLOAD_FULL,
-) -> ClusterRunResult:
-    """Run the sharded write workload (optionally under shard crashes)."""
-    if clients < 1:
-        raise ValueError(f"need at least one client, got {clients}")
+@dataclass
+class ClusterParams:
+    """``kind="cluster"``: one fleet run, or a scaling sweep when
+    ``server_counts``/``client_counts`` is given (a missing axis holds at
+    ``cluster.servers``/``clients``)."""
+
+    cluster: ClusterConfig = field(
+        default_factory=lambda: ClusterConfig(write_path="standard")
+    )
+    clients: int = 4
+    files_per_client: int = 2
+    file_kb: int = 64
+    #: ShardCrash plan for a single-cell run.
+    crashes: Optional[Sequence[ShardCrash]] = None
+    payload: str = PAYLOAD_FULL
+    server_counts: Optional[Sequence[int]] = None
+    client_counts: Optional[Sequence[int]] = None
+
+    def __post_init__(self) -> None:
+        for clients in self.client_counts or (self.clients,):
+            if clients < 1:
+                raise ValueError(f"need at least one client, got {clients}")
+        for servers in self.server_counts or ():
+            self.cluster.variant(servers=servers)
+        if self.files_per_client < 1 or self.file_kb < 1:
+            raise ValueError("files_per_client and file_kb must be >= 1")
+        if self.crashes and self.sweep:
+            raise ValueError("crashes only apply to single-cell runs")
+        check_plan(self.crashes or (), self.cluster.servers)
+        self.payload = coerce_payload_mode(self.payload)
+
+    @property
+    def sweep(self) -> bool:
+        return self.server_counts is not None or self.client_counts is not None
+
+
+def _run_cell(params: ClusterParams, config: ClusterConfig, clients: int) -> ClusterRunResult:
+    """Run the sharded write workload on ``config`` with ``clients``
+    writers (under ``params.crashes``, if any)."""
+    files_per_client, file_kb, crashes = params.files_per_client, params.file_kb, params.crashes
     cluster = Cluster(config)
     oracle = ClusterOracle(cluster)
     hosts: List[str] = []
@@ -170,8 +198,8 @@ def _run_cluster(
                     client,
                     _client_files(host, files_per_client),
                     nbytes,
-                    think_time,
-                    payload,
+                    CLUSTER_THINK_TIME,
+                    params.payload,
                 ),
                 name=f"workload:{host}",
             )
@@ -274,61 +302,18 @@ class ScalingSweepResult:
         return all(row.clean for row in self.rows)
 
 
-def _run_scaling_sweep(
-    base: ClusterConfig,
-    server_counts: Sequence[int],
-    client_counts: Sequence[int],
-    files_per_client: int = 2,
-    file_kb: int = 64,
-    think_time: float = CLUSTER_THINK_TIME,
-    progress=None,
-    payload: str = PAYLOAD_FULL,
-) -> ScalingSweepResult:
-    """Sweep the fleet size against the client population.
-
-    Each cell is a fresh, independently seeded cluster run; ``progress``
-    (if given) is called with each finished :class:`ClusterRunResult`.
-    """
+@register("cluster", ClusterParams)
+def _run_cluster(params: ClusterParams, progress=None):
+    """One cell, or the servers × clients sweep: each cell a fresh,
+    independently seeded cluster, reported to ``progress`` as it ends."""
+    if not params.sweep:
+        return _run_cell(params, params.cluster, params.clients)
+    server_counts = list(params.server_counts or [params.cluster.servers])
+    client_counts = list(params.client_counts or [params.clients])
     rows: List[ClusterRunResult] = []
     for servers in server_counts:
         for clients in client_counts:
-            result = _run_cluster(
-                base.variant(servers=servers),
-                clients=clients,
-                files_per_client=files_per_client,
-                file_kb=file_kb,
-                think_time=think_time,
-                payload=payload,
-            )
-            rows.append(result)
+            rows.append(_run_cell(params, params.cluster.variant(servers=servers), clients))
             if progress is not None:
-                progress(result)
-    return ScalingSweepResult(
-        server_counts=list(server_counts),
-        client_counts=list(client_counts),
-        rows=rows,
-    )
-
-
-def run_cluster(*args, **kwargs) -> ClusterRunResult:
-    """Deprecated entry point; use :func:`repro.experiments.run` with
-    ``ExperimentSpec(kind="cluster", ...)``."""
-    warnings.warn(
-        "run_cluster() is deprecated; use repro.experiments.run("
-        "ExperimentSpec(kind='cluster', ...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_cluster(*args, **kwargs)
-
-
-def run_scaling_sweep(*args, **kwargs) -> ScalingSweepResult:
-    """Deprecated entry point; use :func:`repro.experiments.run` with
-    ``ExperimentSpec(kind="cluster", server_counts=..., client_counts=...)``."""
-    warnings.warn(
-        "run_scaling_sweep() is deprecated; use repro.experiments.run("
-        "ExperimentSpec(kind='cluster', server_counts=..., client_counts=...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_scaling_sweep(*args, **kwargs)
+                progress(rows[-1])
+    return ScalingSweepResult(server_counts=server_counts, client_counts=client_counts, rows=rows)

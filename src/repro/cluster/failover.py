@@ -86,6 +86,16 @@ class ShardCrash:
         }
 
 
+def check_plan(plan: Sequence[ShardCrash], shards: int) -> None:
+    """Reject a crash plan that names a shard outside ``range(shards)``."""
+    for index, crash in enumerate(plan):
+        if not 0 <= crash.shard < shards:
+            raise ValueError(
+                f"crash #{index} names shard {crash.shard}; cluster has "
+                f"{shards} shards"
+            )
+
+
 class FailoverController:
     """Drives scripted :class:`ShardCrash` events against a cluster."""
 
@@ -102,12 +112,8 @@ class FailoverController:
 
     def start(self) -> "FailoverController":
         """Spawn one driver process per planned crash; returns self."""
+        check_plan(self.plan, len(self.cluster.servers))
         for index, crash in enumerate(self.plan):
-            if not 0 <= crash.shard < len(self.cluster.servers):
-                raise ValueError(
-                    f"crash #{index} names shard {crash.shard}; cluster has "
-                    f"{len(self.cluster.servers)} shards"
-                )
             self.env.process(
                 self._drive(crash), name=f"failover:{index}:shard{crash.shard}"
             )

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.bench import PRESTO_BYTES, run_bench_cell
+from repro.experiments.runner import register
 from repro.experiments.testbed import Testbed, TestbedConfig
 from repro.faults.controller import FaultController
 from repro.faults.events import FaultPlan, OnSpan, ServerCrash
@@ -42,7 +43,7 @@ from repro.payload import PAYLOAD_FLYWEIGHT, PAYLOAD_FULL
 from repro.sim import AllOf
 from repro.workload.sequential import patterned_chunk, write_file
 
-__all__ = ["CommitConfig", "CommitReport", "run_commit"]
+__all__ = ["CommitConfig", "CommitReport"]
 
 COMMIT_SCHEMA = "repro.commit/1"
 
@@ -85,6 +86,8 @@ class CommitConfig:
             raise ValueError("the verdict needs the standard baseline arm")
         if self.file_mb <= 0:
             raise ValueError(f"file_mb must be positive, got {self.file_mb}")
+        if self.biods < 0:
+            raise ValueError(f"biods must be >= 0, got {self.biods}")
         if self.pressure_limit_bytes < 1:
             raise ValueError(
                 f"pressure_limit_bytes must be >= 1, got {self.pressure_limit_bytes}"
@@ -484,10 +487,10 @@ class CommitReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _run_commit(config: Optional[CommitConfig] = None, progress=None) -> CommitReport:
+@register("commit", CommitConfig)
+def _run_commit(config: CommitConfig, progress=None) -> CommitReport:
     """Run the whole comparison; ``progress`` (if given) is called with a
     line of text after every completed section."""
-    config = config or CommitConfig()
     report = CommitReport(config=config)
     report.bench = _bench_cells(config, progress=progress)
     report.pressure = _run_pressure(config)
@@ -514,7 +517,3 @@ def _run_commit(config: Optional[CommitConfig] = None, progress=None) -> CommitR
                 )
     return report
 
-
-def run_commit(config: Optional[CommitConfig] = None, progress=None) -> CommitReport:
-    """Public entry point (the runner facade calls :func:`_run_commit`)."""
-    return _run_commit(config, progress=progress)

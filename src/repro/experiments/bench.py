@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import dataclass
 
+from repro.experiments.runner import register
 from repro.experiments.testbed import Testbed, TestbedConfig
-from repro.net.spec import NetSpec
+from repro.net.spec import NETWORKS
 from repro.obs import registry_for
 from repro.payload import PAYLOAD_FLYWEIGHT, PAYLOAD_FULL, coerce_payload_mode
 from repro.server.config import WritePath
@@ -28,10 +30,10 @@ from repro.workload.sequential import write_file
 
 __all__ = [
     "BENCH_SCHEMA",
+    "BenchParams",
     "bench_to_json",
     "run_bench",
     "run_bench_cell",
-    "write_bench",
 ]
 
 BENCH_SCHEMA = "repro.bench/1"
@@ -104,15 +106,28 @@ def run_bench_cell(
     }
 
 
-def run_bench(
-    netspec: NetSpec,
-    net_name: str,
-    file_mb: float = 2.0,
-    biods: int = 7,
-    seed: int = 0,
-    progress=None,
-    payload: str = PAYLOAD_FLYWEIGHT,
-) -> dict:
+@dataclass
+class BenchParams:
+    """``kind="bench"``: the grid on network ``net`` (a :data:`NETWORKS` name)."""
+
+    net: str = "fddi"
+    file_mb: float = 2.0
+    biods: int = 7
+    seed: int = 0
+    payload: str = PAYLOAD_FLYWEIGHT
+
+    def __post_init__(self) -> None:
+        if self.net not in NETWORKS:
+            raise ValueError(
+                f"unknown network {self.net!r}; expected one of {', '.join(sorted(NETWORKS))}"
+            )
+        if self.file_mb <= 0 or self.biods < 0:
+            raise ValueError(f"need file_mb > 0 and biods >= 0, got {self.file_mb}, {self.biods}")
+        self.payload = coerce_payload_mode(self.payload)
+
+
+@register("bench", BenchParams)
+def run_bench(params: BenchParams, progress=None) -> dict:
     """The full grid: every write path × Presto off/on, one seed.
 
     Returns a JSON-ready document (stable key order, rounded floats) that
@@ -122,28 +137,27 @@ def run_bench(
     simulated number is identical either way; pass ``payload="full"`` to
     force real bytes.
     """
-    payload = coerce_payload_mode(payload)
     cells = []
     for write_path in WritePath:
         for presto in (False, True):
             config = TestbedConfig(
-                netspec=netspec,
+                netspec=NETWORKS[params.net],
                 write_path=write_path,
-                nbiods=biods,
+                nbiods=params.biods,
                 presto_bytes=PRESTO_BYTES if presto else None,
-                seed=seed,
+                seed=params.seed,
             )
-            cell = run_bench_cell(config, file_mb, payload=payload)
+            cell = run_bench_cell(config, params.file_mb, payload=params.payload)
             cells.append(cell)
             if progress is not None:
                 progress(cell)
     return {
         "schema": BENCH_SCHEMA,
-        "net": net_name,
-        "file_mb": file_mb,
-        "biods": biods,
-        "seed": seed,
-        "payload": payload,
+        "net": params.net,
+        "file_mb": params.file_mb,
+        "biods": params.biods,
+        "seed": params.seed,
+        "payload": params.payload,
         "cells": cells,
     }
 
@@ -152,9 +166,3 @@ def bench_to_json(report: dict) -> str:
     """Canonical serialized form (what lands in ``BENCH_<n>.json``)."""
     return json.dumps(report, indent=2, sort_keys=True)
 
-
-def write_bench(report: dict, path: str) -> None:
-    """Write the canonical form to ``path`` (trailing newline included)."""
-    with open(path, "w") as handle:
-        handle.write(bench_to_json(report))
-        handle.write("\n")

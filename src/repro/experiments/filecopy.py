@@ -2,12 +2,44 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
+from repro.experiments.runner import register
 from repro.experiments.testbed import Testbed, TestbedConfig
 from repro.metrics.collect import FileCopyMetrics
+from repro.net.spec import FDDI
 from repro.obs import PercentileSummary
 from repro.workload.sequential import write_file
 
-__all__ = ["run_filecopy"]
+__all__ = ["CopyParams", "run_filecopy"]
+
+
+def default_testbed() -> TestbedConfig:
+    """The testbed ``repro copy`` and ``repro sweep`` run by default."""
+    return TestbedConfig(netspec=FDDI, nbiods=7)
+
+
+def check_testbed(testbed: TestbedConfig) -> None:
+    """Reject the testbed shapes the copy kinds cannot build."""
+    if testbed.nbiods < 0 or testbed.stripes < 1 or testbed.nfsds < 1:
+        raise ValueError(
+            f"need nbiods >= 0, stripes >= 1 and nfsds >= 1; got {testbed.nbiods}, "
+            f"{testbed.stripes} and {testbed.nfsds}"
+        )
+
+
+@dataclass
+class CopyParams:
+    """``kind="copy"``: one ``file_mb`` MB copy on ``testbed``."""
+
+    testbed: TestbedConfig = field(default_factory=default_testbed)
+    file_mb: float = 10.0
+    think_time: float = 0.0005
+
+    def __post_init__(self) -> None:
+        check_testbed(self.testbed)
+        if self.file_mb <= 0:
+            raise ValueError(f"file_mb must be positive, got {self.file_mb}")
 
 
 def run_filecopy(
@@ -75,3 +107,8 @@ def run_filecopy(
         ),
         phases=phases,
     )
+
+
+@register("copy", CopyParams)
+def _run_copy(params: CopyParams, progress=None) -> FileCopyMetrics:
+    return run_filecopy(params.testbed, file_mb=params.file_mb, think_time=params.think_time)

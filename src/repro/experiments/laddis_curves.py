@@ -14,11 +14,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.experiments.runner import register
 from repro.experiments.testbed import Testbed, TestbedConfig
 from repro.net.spec import FDDI
+from repro.server.config import WritePath
 from repro.workload.laddis import SFS_LATENCY_BOUND_MS, LaddisGenerator, LaddisResult
 
-__all__ = ["CurvePoint", "LaddisCurve", "run_curve", "figure2", "figure3", "capacity_of"]
+__all__ = [
+    "CurvePoint",
+    "CurveParams",
+    "LaddisCurve",
+    "run_curve",
+    "figure2",
+    "figure3",
+    "capacity_of",
+]
 
 MB = 1024 * 1024
 
@@ -138,3 +148,37 @@ def figure3(loads: Sequence[float] = DEFAULT_LOADS, duration: float = 4.0) -> Di
 def capacity_of(curves: Dict[str, LaddisCurve]) -> Dict[str, float]:
     """Capacity summary for a figure's two curves."""
     return {name: curve.capacity() for name, curve in curves.items()}
+
+
+@dataclass
+class CurveParams:
+    """``kind="curve"``: one LADDIS curve, as ``repro laddis`` runs it."""
+
+    write_path: WritePath = WritePath.STANDARD
+    presto: bool = False
+    loads: Sequence[float] = (150.0, 300.0, 450.0, 550.0, 650.0)
+    duration: float = 3.0
+    loss_rate: float = 0.0
+    net_seed: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        self.write_path = WritePath.coerce(self.write_path)
+        self.loads = tuple(self.loads)
+        if not self.loads or min(self.loads) <= 0:
+            raise ValueError(f"loads must be positive, got {list(self.loads)}")
+        if self.duration <= 0:
+            raise ValueError(f"duration must be positive, got {self.duration}")
+        if not 0.0 <= self.loss_rate < 1.0:
+            raise ValueError(f"loss_rate must be in [0, 1), got {self.loss_rate}")
+
+
+@register("curve", CurveParams)
+def _run_curve(params: CurveParams, progress=None) -> LaddisCurve:
+    return run_curve(
+        str(params.write_path),
+        presto=params.presto,
+        loads=list(params.loads),
+        duration=params.duration,
+        loss_rate=params.loss_rate,
+        net_seed=params.net_seed,
+    )

@@ -15,15 +15,18 @@ people actually sweep: ``interval_ms`` (procrastination) and ``presto_mb``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from dataclasses import field as dataclass_field
 from dataclasses import fields as dataclass_fields
 from typing import List, Sequence
 
 from repro.core.policy import GatherPolicy
-from repro.experiments.filecopy import run_filecopy
+from repro.experiments.filecopy import check_testbed, default_testbed, run_filecopy
+from repro.experiments.runner import register
 from repro.experiments.testbed import TestbedConfig
 from repro.metrics.collect import FileCopyMetrics
 
-__all__ = ["sweep", "sweepable_fields"]
+__all__ = ["SweepParams", "sweep", "sweepable_fields"]
 
 _DERIVED = {
     "interval_ms": "procrastination interval (ms); None = transport default",
@@ -70,3 +73,33 @@ def sweep(
         config = _apply(base, field, value)
         results.append(run_filecopy(config, file_mb=file_mb))
     return results
+
+
+@dataclass
+class SweepParams:
+    """``kind="sweep"``: one copy per value of ``sweep_field`` on ``testbed``."""
+
+    testbed: TestbedConfig = dataclass_field(default_factory=default_testbed)
+    sweep_field: str = ""
+    values: Sequence = ()
+    file_mb: float = 4.0
+
+    def __post_init__(self) -> None:
+        self.values = tuple(self.values)
+        if self.sweep_field and self.sweep_field not in sweepable_fields():
+            raise ValueError(
+                f"unknown field {self.sweep_field!r}; choose from "
+                f"{', '.join(sorted(sweepable_fields()))}"
+            )
+        if self.file_mb <= 0:
+            raise ValueError(f"file_mb must be positive, got {self.file_mb}")
+        check_testbed(self.testbed)
+        for value in self.values if self.sweep_field else ():
+            check_testbed(_apply(self.testbed, self.sweep_field, value))
+
+
+@register("sweep", SweepParams)
+def _run_sweep(params: SweepParams, progress=None) -> List[FileCopyMetrics]:
+    if not params.sweep_field or not params.values:
+        raise ValueError("kind='sweep' needs params.sweep_field and values")
+    return sweep(params.testbed, params.sweep_field, list(params.values), file_mb=params.file_mb)

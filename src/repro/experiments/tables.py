@@ -12,12 +12,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.filecopy import run_filecopy
+from repro.experiments.runner import register
 from repro.experiments.testbed import TestbedConfig
 from repro.metrics.collect import FileCopyMetrics
 from repro.metrics.report import format_paper_table
 from repro.net.spec import ETHERNET, FDDI, NetSpec
 
-__all__ = ["TableSpec", "TableResult", "TABLES", "PAPER", "run_table"]
+__all__ = ["TableSpec", "TableResult", "TableParams", "TABLES", "PAPER", "run_table"]
 
 MB = 1024 * 1024
 
@@ -182,3 +183,24 @@ def run_table(number: int, file_mb: float = 10.0) -> TableResult:
             )
             bucket.append(run_filecopy(config, file_mb=file_mb))
     return result
+
+
+@dataclass
+class TableParams:
+    """``kind="table"``: measure Table ``table`` (1-6) at ``file_mb`` MB."""
+
+    table: Optional[int] = None
+    file_mb: float = 10.0
+
+    def __post_init__(self) -> None:
+        if self.table is not None and self.table not in TABLES:
+            raise ValueError(f"table must be one of {sorted(TABLES)}, got {self.table}")
+        if self.file_mb <= 0:
+            raise ValueError(f"file_mb must be positive, got {self.file_mb}")
+
+
+@register("table", TableParams)
+def _run_table(params: TableParams, progress=None) -> TableResult:
+    if params.table is None:
+        raise ValueError("kind='table' needs params.table")
+    return run_table(params.table, file_mb=params.file_mb)

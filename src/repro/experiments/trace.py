@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
+from repro.experiments.runner import register
 from repro.experiments.testbed import Testbed, TestbedConfig
 from repro.net.spec import FDDI
 from repro.nfs.protocol import PROC_WRITE
@@ -25,6 +26,7 @@ from repro.workload.sequential import write_file
 
 __all__ = [
     "TraceEvent",
+    "TraceParams",
     "trace_filecopy",
     "events_from_spans",
     "render_timeline",
@@ -220,3 +222,19 @@ def figure1(file_kb: int = 256, window_after_kb: int = 100) -> dict:
             "rendered": render_timeline(window),
         }
     return sides
+
+
+@dataclass
+class TraceParams:
+    """``kind="trace"``: the Figure 1 timelines over a ``file_kb`` KB copy."""
+
+    file_kb: int = 256
+
+    def __post_init__(self) -> None:
+        if self.file_kb <= 0:
+            raise ValueError(f"file_kb must be positive, got {self.file_kb}")
+
+
+@register("trace", TraceParams)
+def _run_trace(params: TraceParams, progress=None) -> dict:
+    return figure1(file_kb=params.file_kb)

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import json
 import random
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
+from repro.experiments.runner import register
 from repro.experiments.testbed import Testbed, TestbedConfig
 from repro.faults.controller import FaultController
 from repro.faults.events import (
@@ -47,7 +47,14 @@ from repro.obs import (
 from repro.sim import AllOf
 from repro.workload import write_file
 
-__all__ = ["ChaosCampaign", "CampaignReport", "PlanResult", "generate_plan", "run_plan"]
+__all__ = [
+    "ChaosCampaign",
+    "ChaosParams",
+    "CampaignReport",
+    "PlanResult",
+    "generate_plan",
+    "run_plan",
+]
 
 WRITE_PATHS = ("standard", "gather", "siva", "async_commit")
 
@@ -345,7 +352,7 @@ class ChaosCampaign:
         )
 
     def execute(self) -> CampaignReport:
-        """Run every plan in every combo (the facade's entry point)."""
+        """Run every plan in every combo."""
         report = CampaignReport(
             seed=self.seed,
             file_kb=self.file_kb,
@@ -363,13 +370,36 @@ class ChaosCampaign:
                     self.progress(result)
         return report
 
-    def run(self) -> CampaignReport:
-        """Deprecated entry point; use :func:`repro.experiments.run` with
-        ``ExperimentSpec(kind="chaos", ...)``."""
-        warnings.warn(
-            "ChaosCampaign.run() is deprecated; use repro.experiments.run("
-            "ExperimentSpec(kind='chaos', ...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.execute()
+
+@dataclass
+class ChaosParams:
+    """``kind="chaos"``: ``plans`` seeded plans per write path x presto."""
+
+    seed: int = 0
+    plans: int = 5
+    write_paths: Sequence[str] = WRITE_PATHS
+    presto_modes: Sequence[bool] = (False, True)
+    file_kb: int = 192
+    payload: str = PAYLOAD_FULL
+
+    def __post_init__(self) -> None:
+        if self.plans < 1:
+            raise ValueError(f"plans must be >= 1, got {self.plans}")
+        if self.file_kb < 1:
+            raise ValueError(f"file_kb must be >= 1, got {self.file_kb}")
+        self.write_paths = tuple(self.write_paths)
+        self.presto_modes = tuple(self.presto_modes)
+        self.payload = coerce_payload_mode(self.payload)
+
+
+@register("chaos", ChaosParams)
+def _run_chaos(params: ChaosParams, progress=None) -> CampaignReport:
+    return ChaosCampaign(
+        seed=params.seed,
+        plans_per_combo=params.plans,
+        write_paths=params.write_paths,
+        presto_modes=params.presto_modes,
+        file_kb=params.file_kb,
+        progress=progress,
+        payload=params.payload,
+    ).execute()

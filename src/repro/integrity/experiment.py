@@ -32,6 +32,7 @@ from repro.cluster.experiment import (
 )
 from repro.cluster.fleet import Cluster, ClusterConfig
 from repro.cluster.oracle import ClusterOracle
+from repro.experiments.runner import register
 from repro.faults.controller import FaultController
 from repro.faults.events import (
     AtTime,
@@ -86,6 +87,8 @@ class ScrubConfig:
     presto_bytes: int = 1 << 20
 
     def __post_init__(self) -> None:
+        if min(self.clients, self.files_per_client, self.file_kb) < 1:
+            raise ValueError("clients, files_per_client and file_kb must be >= 1")
         for rate in self.corruption_rates:
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"corruption rate must be in [0, 1], got {rate}")
@@ -390,9 +393,9 @@ class ScrubRunResult:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def run_scrub(config: Optional[ScrubConfig] = None, progress=None) -> ScrubRunResult:
+@register("scrub", ScrubConfig)
+def run_scrub(config: ScrubConfig, progress=None) -> ScrubRunResult:
     """Sweep the integrity axes; each arm is a fresh, seeded cluster."""
-    config = config or ScrubConfig()
     arms: List[ScrubArm] = []
     for rate in config.corruption_rates:
         for bandwidth in config.scrub_bandwidths:

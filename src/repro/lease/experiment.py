@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import json
 import random
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.experiments.runner import register
 from repro.experiments.testbed import Testbed, TestbedConfig
 from repro.faults.controller import FaultController
 from repro.faults.events import AtTime, FaultPlan, NetworkPartition, ServerCrash
@@ -37,7 +37,7 @@ from repro.nfs.client import NfsError
 from repro.sim import AllOf
 from repro.workload.sequential import patterned_chunk, write_file
 
-__all__ = ["CacheConfig", "CacheReport", "run_cache", "WORKLOADS"]
+__all__ = ["CacheConfig", "CacheReport", "WORKLOADS"]
 
 WORKLOADS = ("copy", "laddis", "cluster", "overload")
 
@@ -624,10 +624,10 @@ class CacheReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _run_cache(config: Optional[CacheConfig] = None, progress=None) -> CacheReport:
+@register("cache", CacheConfig)
+def _run_cache(config: CacheConfig, progress=None) -> CacheReport:
     """Run the whole sweep; ``progress`` (if given) is called with a line
     of text after every completed section."""
-    config = config or CacheConfig()
     report = CacheReport(config=config)
     for sharing in config.sharing_ratios:
         report.baselines[sharing] = _run_shared_arm(config, None, sharing)
@@ -669,14 +669,3 @@ def _run_cache(config: Optional[CacheConfig] = None, progress=None) -> CacheRepo
                 progress(f"chaos {record['name']}: {status}")
     return report
 
-
-def run_cache(config: Optional[CacheConfig] = None, progress=None) -> CacheReport:
-    """Deprecated entry point; use :func:`repro.experiments.run` with
-    ``ExperimentSpec(kind="cache", config=CacheConfig(...))``."""
-    warnings.warn(
-        "run_cache() is deprecated; use repro.experiments.run("
-        "ExperimentSpec(kind='cache', config=CacheConfig(...)))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_cache(config, progress=progress)

@@ -30,11 +30,11 @@ Everything is seeded; same-seed reruns produce byte-identical JSON.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.policy import GatherPolicy
+from repro.experiments.runner import register
 from repro.experiments.testbed import Testbed, TestbedConfig
 from repro.faults.controller import FaultController
 from repro.faults.events import AtTime, FaultPlan, RetransmitStorm, ServerCrash
@@ -45,7 +45,7 @@ from repro.overload.window import WriteWindow
 from repro.sim import AllOf
 from repro.workload.sequential import patterned_chunk
 
-__all__ = ["OverloadConfig", "OverloadReport", "run_overload", "MODES"]
+__all__ = ["OverloadConfig", "OverloadReport", "MODES"]
 
 MODES = ("static", "adaptive")
 
@@ -374,10 +374,10 @@ class OverloadReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _run_overload(config: Optional[OverloadConfig] = None, progress=None) -> OverloadReport:
+@register("overload", OverloadConfig)
+def _run_overload(config: OverloadConfig, progress=None) -> OverloadReport:
     """Run the whole sweep; ``progress`` (if given) is called with a line
     of text after every completed run."""
-    config = config or OverloadConfig()
     report = OverloadReport(config=config)
     for write_path in config.write_paths:
         for presto in config.presto_modes:
@@ -417,20 +417,6 @@ def _run_overload(config: Optional[OverloadConfig] = None, progress=None) -> Ove
             combo["verdict"] = _verdict(combo, config)
             report.combos.append(combo)
     return report
-
-
-def run_overload(
-    config: Optional[OverloadConfig] = None, progress=None
-) -> OverloadReport:
-    """Deprecated entry point; use :func:`repro.experiments.run` with
-    ``ExperimentSpec(kind="overload", config=OverloadConfig(...))``."""
-    warnings.warn(
-        "run_overload() is deprecated; use repro.experiments.run("
-        "ExperimentSpec(kind='overload', config=OverloadConfig(...)))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_overload(config, progress=progress)
 
 
 def _verdict(combo: dict, config: OverloadConfig) -> Optional[dict]:

@@ -16,7 +16,6 @@ from repro.replica.experiment import (
     ReplicaArm,
     ReplicaRunResult,
     replica_storm,
-    run_replica,
     run_replica_arm,
 )
 from repro.replica.group import ReplicaGroup
@@ -33,6 +32,5 @@ __all__ = [
     "Replicator",
     "namespace_op",
     "replica_storm",
-    "run_replica",
     "run_replica_arm",
 ]

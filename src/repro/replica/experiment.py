@@ -20,7 +20,6 @@ Everything is seeded; ``--json`` output is byte-identical across reruns.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -32,11 +31,12 @@ from repro.cluster.experiment import (
 from repro.cluster.failover import FailoverController, ShardCrash
 from repro.cluster.fleet import Cluster, ClusterConfig
 from repro.cluster.oracle import ClusterOracle
+from repro.experiments.runner import register
 from repro.obs import registry_for
-from repro.payload import PAYLOAD_FULL
+from repro.payload import PAYLOAD_FULL, coerce_payload_mode
 from repro.sim import AllOf
 
-__all__ = ["ReplicaRunResult", "replica_storm", "run_replica", "run_replica_arm"]
+__all__ = ["ReplicaParams", "ReplicaRunResult", "replica_storm", "run_replica_arm"]
 
 REPLICA_SCHEMA = "repro.replica/1"
 
@@ -281,61 +281,63 @@ class ReplicaRunResult:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _run_replica(
-    base: ClusterConfig,
-    replica_counts: Sequence[int] = (0, 1, 2),
-    clients: int = 6,
-    files_per_client: int = 2,
-    file_kb: int = 64,
-    think_time: float = CLUSTER_THINK_TIME,
-    storm_crashes: int = 3,
-    progress=None,
-    payload: str = PAYLOAD_FULL,
-) -> ReplicaRunResult:
+@dataclass
+class ReplicaParams:
+    """``kind="replica"``: one storm arm per K in ``replica_counts``."""
+
+    cluster: ClusterConfig = field(default_factory=lambda: ClusterConfig(servers=3))
+    replica_counts: Sequence[int] = (0, 1, 2)
+    clients: int = 6
+    files_per_client: int = 2
+    file_kb: int = 64
+    storm_crashes: int = 3
+    payload: str = PAYLOAD_FULL
+
+    def __post_init__(self) -> None:
+        for replicas in self.replica_counts:
+            self.cluster.variant(replicas=replicas)
+        if self.clients < 1 or self.files_per_client < 1 or self.file_kb < 1:
+            raise ValueError("clients, files_per_client and file_kb must be >= 1")
+        if self.storm_crashes < 0:
+            raise ValueError(f"storm_crashes must be >= 0, got {self.storm_crashes}")
+        self.payload = coerce_payload_mode(self.payload)
+
+
+@register("replica", ReplicaParams)
+def _run_replica(params: ReplicaParams, progress=None) -> ReplicaRunResult:
     """Sweep the replication factor under the crash-and-promote storm.
 
     Each arm is a fresh, independently seeded cluster; the storm is the
     same shape in every arm (identical times and shard order), differing
     only in whether a backup exists to promote.
     """
+    base = params.cluster
     arms: List[ReplicaArm] = []
-    for replicas in replica_counts:
+    for replicas in params.replica_counts:
         config = base.variant(replicas=replicas)
         crashes = replica_storm(
-            config.servers, storm_crashes, promote=replicas > 0
+            config.servers, params.storm_crashes, promote=replicas > 0
         )
         arm = run_replica_arm(
             config,
-            clients=clients,
-            files_per_client=files_per_client,
-            file_kb=file_kb,
-            think_time=think_time,
+            clients=params.clients,
+            files_per_client=params.files_per_client,
+            file_kb=params.file_kb,
+            think_time=CLUSTER_THINK_TIME,
             crashes=crashes,
-            payload=payload,
+            payload=params.payload,
         )
         arms.append(arm)
         if progress is not None:
             progress(arm)
     return ReplicaRunResult(
         servers=base.servers,
-        clients=clients,
-        files_per_client=files_per_client,
-        file_kb=file_kb,
+        clients=params.clients,
+        files_per_client=params.files_per_client,
+        file_kb=params.file_kb,
         seed=base.seed,
         write_path=str(base.write_path),
         quorum=base.quorum,
-        storm_crashes=storm_crashes,
+        storm_crashes=params.storm_crashes,
         arms=arms,
     )
-
-
-def run_replica(*args, **kwargs) -> ReplicaRunResult:
-    """Deprecated entry point; use :func:`repro.experiments.run` with
-    ``ExperimentSpec(kind="replica", ...)``."""
-    warnings.warn(
-        "run_replica() is deprecated; use repro.experiments.run("
-        "ExperimentSpec(kind='replica', ...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_replica(*args, **kwargs)

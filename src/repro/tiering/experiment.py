@@ -34,6 +34,7 @@ from typing import Callable, List, Optional, Sequence
 from repro.cluster.failover import FailoverController, ShardCrash
 from repro.cluster.fleet import Cluster, ClusterConfig
 from repro.cluster.oracle import ClusterOracle
+from repro.experiments.runner import register
 from repro.obs import registry_for
 from repro.sim import AllOf
 from repro.tiering.engine import MigrationEngine, MigrationPlan
@@ -450,6 +451,7 @@ class TieringRunResult:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
+@register("tiering", TieringConfig)
 def run_tiering(
     config: TieringConfig, progress: Optional[Callable] = None
 ) -> TieringRunResult:

@@ -8,12 +8,17 @@ byte-identical JSON report.
 import json
 
 from repro.cli import main
+from repro.experiments import ExperimentSpec, run
 from repro.faults import ChaosCampaign, ServerCrash
-from repro.faults.campaign import WRITE_PATHS
+from repro.faults.campaign import WRITE_PATHS, ChaosParams
 
 
 def small_campaign(seed=5):
     return ChaosCampaign(seed=seed, plans_per_combo=2, file_kb=64)
+
+
+def small_report(seed=5):
+    return run(ExperimentSpec("chaos", ChaosParams(seed=seed, plans=2, file_kb=64)))
 
 
 def test_plan_generation_is_seed_deterministic():
@@ -40,18 +45,18 @@ def test_even_indices_carry_a_crash():
 
 
 def test_small_campaign_clean_and_byte_stable():
-    report = small_campaign().run()
+    report = small_report()
     assert report.clean, report.violations
     assert len(report.results) == len(WRITE_PATHS) * 2 * 2
     # Crashes actually happened somewhere (even-index plans).
     assert sum(result.crashes for result in report.results) > 0
     assert sum(result.acked_writes for result in report.results) > 0
-    rerun = small_campaign().run()
+    rerun = small_report()
     assert report.to_json() == rerun.to_json()
 
 
 def test_report_surfaces_violations_with_combo_prefix():
-    report = small_campaign().run()
+    report = small_report()
     result = report.results[0]
     result.violations.append("synthetic violation")
     assert not report.clean

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import COMMANDS, build_parser, main
 from repro.server.config import WritePath
 
 
@@ -347,3 +347,52 @@ class TestBenchCommand:
         payload = json.loads(first.read_text())
         assert payload["file_mb"] == 0.25
         assert payload["payload"] == "flyweight"
+
+
+#: Positional arguments a command needs, and the params fields they set.
+_REQUIRED = {
+    "table": (["1"], {"table": 1}),
+    "sweep": (["nbiods", "1"], {"sweep_field": "nbiods", "values": (1,)}),
+}
+
+#: One invalid value per command that takes flags.
+_INVALID = {
+    "table": ["table", "1", "--file-mb", "0"],
+    "copy": ["copy", "--file-mb", "-1"],
+    "laddis": ["laddis", "--duration", "0"],
+    "chaos": ["chaos", "--plans", "0"],
+    "sweep": ["sweep", "nonsense", "1"],
+    "cluster": ["cluster", "--servers", "0"],
+    "overload": ["overload", "--clients", "0"],
+    "bench": ["bench", "--file-mb", "0"],
+    "replica": ["replica", "--quorum", "5", "--replicas", "1"],
+    "cache": ["cache", "--clients", "1"],
+    "commit": ["commit", "--file-mb", "0"],
+    "scrub": ["scrub", "--rates", "2"],
+    "tiering": ["tiering", "--policies", "bogus"],
+}
+
+
+class TestCommandContract:
+    """One contract body, asserted for every registered command."""
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_parser_defaults_equal_params_defaults(self, name):
+        from dataclasses import replace
+
+        command = COMMANDS[name]
+        argv, fields = _REQUIRED.get(name, ([], {}))
+        args = build_parser().parse_args([name, *argv])
+        defaults = command.params()
+        assert command.build(args, defaults) == replace(defaults, **fields)
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_bad_value_exits_2_with_one_line(self, name, capsys):
+        if name not in _INVALID:
+            assert COMMANDS[name].flags(COMMANDS[name].params()) == []
+            return
+        assert main(_INVALID[name]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{name}: ")
+        assert captured.err.count("\n") == 1

@@ -7,15 +7,19 @@ from repro.cluster import (
     ClusterOracle,
     ShardCrash,
     build_cluster,
-    run_cluster,
-    run_scaling_sweep,
 )
-from repro.cluster.experiment import CLUSTER_THINK_TIME
+from repro.cluster.experiment import ClusterParams
 from repro.cluster.fleet import INO_STRIDE
+from repro.experiments import ExperimentSpec, run
 from repro.experiments.testbed import Testbed, TestbedConfig
 from repro.workload.sequential import write_file
 
 KB = 1024
+
+
+def _run_fleet(config, **params):
+    """One ``kind="cluster"`` run; a sweep when given server/client counts."""
+    return run(ExperimentSpec("cluster", ClusterParams(cluster=config, **params)))
 
 
 def _write(cluster, client, name, nbytes=8 * KB):
@@ -118,7 +122,7 @@ class TestGrow:
 
 class TestRunCluster:
     def test_basic_run_is_clean_and_accounted(self):
-        result = run_cluster(ClusterConfig(servers=2, seed=0), clients=4)
+        result = _run_fleet(ClusterConfig(servers=2, seed=0), clients=4)
         assert result.clean
         assert result.acked_writes == 4 * 2 * (64 // 8)
         assert sum(result.placement.values()) == 4 * 2
@@ -127,18 +131,18 @@ class TestRunCluster:
 
     def test_json_is_byte_identical_across_reruns(self):
         config = ClusterConfig(servers=4, seed=3)
-        first = run_cluster(config, clients=8).to_json()
-        second = run_cluster(config, clients=8).to_json()
+        first = _run_fleet(config, clients=8).to_json()
+        second = _run_fleet(config, clients=8).to_json()
         assert first == second
 
     def test_different_seeds_change_placement(self):
-        a = run_cluster(ClusterConfig(servers=4, seed=0), clients=4)
-        b = run_cluster(ClusterConfig(servers=4, seed=9), clients=4)
+        a = _run_fleet(ClusterConfig(servers=4, seed=0), clients=4)
+        b = _run_fleet(ClusterConfig(servers=4, seed=9), clients=4)
         assert a.placement != b.placement
 
     def test_shard_crash_holds_the_contract(self):
         crash = ShardCrash(at=0.05, shard=1, outage=0.3, redirect=True)
-        result = run_cluster(
+        result = _run_fleet(
             ClusterConfig(servers=3, seed=0), clients=6, crashes=[crash]
         )
         assert result.clean
@@ -151,7 +155,7 @@ class TestRunCluster:
 
     def test_crash_without_outage(self):
         crash = ShardCrash(at=0.02, shard=0)
-        result = run_cluster(
+        result = _run_fleet(
             ClusterConfig(servers=2, seed=0), clients=2, crashes=[crash]
         )
         assert result.clean
@@ -160,7 +164,7 @@ class TestRunCluster:
 
     def test_crash_shard_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="names shard 5"):
-            run_cluster(
+            _run_fleet(
                 ClusterConfig(servers=2),
                 clients=1,
                 crashes=[ShardCrash(at=0.01, shard=5)],
@@ -171,11 +175,10 @@ class TestScaling:
     def test_sweep_shows_dilution_and_monotonic_throughput(self):
         # The headline trade: sharding multiplies spindles (throughput up)
         # but thins each server's request stream (gather ratio down).
-        sweep = run_scaling_sweep(
+        sweep = _run_fleet(
             ClusterConfig(servers=1, write_path="gather", seed=0),
             server_counts=[1, 4],
             client_counts=[8],
-            think_time=CLUSTER_THINK_TIME,
         )
         assert sweep.clean
         one, four = sweep.rows
@@ -188,7 +191,7 @@ class TestScaling:
     def test_sweep_json_round_trips(self):
         import json
 
-        sweep = run_scaling_sweep(
+        sweep = _run_fleet(
             ClusterConfig(servers=1, seed=0),
             server_counts=[1, 2],
             client_counts=[2],

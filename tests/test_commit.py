@@ -13,9 +13,9 @@ experiment smoke.
 
 import pytest
 
-from repro.commit.experiment import CommitConfig, run_commit
+from repro.commit.experiment import CommitConfig
 from repro.commit.path import UnstableLog
-from repro.experiments import Testbed, TestbedConfig
+from repro.experiments import ExperimentSpec, Testbed, TestbedConfig, run
 from repro.net import FDDI
 from repro.nfs.protocol import CommitArgs, WriteArgs
 from repro.overload.window import WriteWindow
@@ -333,7 +333,7 @@ class TestCommitConfig:
 
 class TestCommitExperiment:
     def test_small_run_is_clean_and_async_wins(self):
-        report = run_commit(CommitConfig(file_mb=0.25))
+        report = run(ExperimentSpec("commit", CommitConfig(file_mb=0.25)))
         assert report.clean
         assert report.async_beats_standard
         assert report.ok

@@ -474,9 +474,9 @@ def test_scrub_contract_holds_across_sweep(scrub_arms):
 
 
 def test_scrub_waits_for_a_storm_that_outlasts_the_workload():
-    # This workload ends before the storm starts.  Quiescing the scrub as
-    # soon as the writers finished used to race the storm: the arm
-    # detected nothing and the final fsck found silent corruption.
+    # This workload ends before the storm starts; the scrub must not be
+    # asked to converge until the storm's faults have landed, or it
+    # misses them and the final fsck finds silent corruption.
     config = ScrubConfig(clients=2, files_per_client=1, file_kb=16)
     arm = run_scrub_arm(config, rate=0.25, bandwidth=4194304.0, replicas=1)
     assert arm.elapsed < 0.30  # finished writing before the first fault

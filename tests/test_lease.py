@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments import ExperimentSpec, run
 from repro.experiments.testbed import Testbed, TestbedConfig
 from repro.lease import LEASE_WRITE, StalenessOracle
 from repro.nfs.cache import NEGATIVE
@@ -424,23 +425,19 @@ class TestExperiment:
         )
 
     def test_seeded_rerun_is_byte_identical(self):
-        from repro.lease.experiment import _run_cache
-
-        first = _run_cache(self._tiny(seed=3))
-        second = _run_cache(self._tiny(seed=3))
+        first = run(ExperimentSpec("cache", self._tiny(seed=3)))
+        second = run(ExperimentSpec("cache", self._tiny(seed=3)))
         assert first.to_json() == second.to_json()
 
     def test_leases_reduce_rpcs_on_shared_reads(self):
-        from repro.lease.experiment import _run_cache
-
-        report = _run_cache(self._tiny())
+        report = run(ExperimentSpec("cache", self._tiny()))
         cell = report.headline
         assert cell is not None
         assert cell["reduction"] > 1.0
         assert report.clean, report.violations
 
     def test_chaos_probes_are_clean(self):
-        from repro.lease.experiment import CacheConfig, _run_cache
+        from repro.lease.experiment import CacheConfig
 
         config = CacheConfig(
             lease_ttls=(1.0,),
@@ -450,7 +447,7 @@ class TestExperiment:
             workloads=(),
             chaos=True,
         )
-        report = _run_cache(config)
+        report = run(ExperimentSpec("cache", config))
         assert len(report.probes) == 3
         for probe in report.probes:
             assert probe["clean"], (probe["name"], probe)

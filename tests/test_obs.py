@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.experiments import ExperimentSpec, TestbedConfig, run, run_filecopy
+from repro.experiments.filecopy import CopyParams
 from repro.net import FDDI
 from repro.obs import (
     NULL_COLLECTOR,
@@ -202,9 +203,8 @@ class TestExporters:
 
 class TestFacade:
     def test_run_copy_spec(self):
-        metrics = run(
-            ExperimentSpec(kind="copy", config=_copy_config(tracing=False), file_mb=0.25)
-        )
+        params = CopyParams(testbed=_copy_config(tracing=False), file_mb=0.25)
+        metrics = run(ExperimentSpec(kind="copy", config=params))
         assert metrics.client_kb_per_sec > 0
         assert metrics.handoffs_nfsd is not None
 
@@ -213,8 +213,9 @@ class TestFacade:
             ExperimentSpec(kind="frobnicate")
 
     def test_run_copy_requires_config(self):
-        with pytest.raises(ValueError):
-            run(ExperimentSpec(kind="copy"))
+        # A bare TestbedConfig is not the copy kind's params.
+        with pytest.raises(TypeError, match="CopyParams"):
+            ExperimentSpec(kind="copy", config=_copy_config())
 
     def test_metrics_to_json_round_trips(self):
         metrics = run_filecopy(_copy_config(), file_mb=0.25)

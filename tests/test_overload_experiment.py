@@ -10,7 +10,8 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.overload import MODES, OverloadConfig, run_overload
+from repro.experiments import ExperimentSpec, run
+from repro.overload import MODES, OverloadConfig
 
 SMALL = dict(
     write_paths=("gather",),
@@ -24,7 +25,7 @@ _cache = {}
 
 def small_report():
     if "report" not in _cache:
-        _cache["report"] = run_overload(OverloadConfig(**SMALL))
+        _cache["report"] = run(ExperimentSpec("overload", OverloadConfig(**SMALL)))
     return _cache["report"]
 
 
@@ -81,7 +82,7 @@ class TestSweep:
 
     def test_same_seed_json_is_byte_identical(self):
         first = small_report().to_json()
-        second = run_overload(OverloadConfig(**SMALL)).to_json()
+        second = run(ExperimentSpec("overload", OverloadConfig(**SMALL))).to_json()
         assert first == second
 
 
@@ -114,6 +115,12 @@ class TestOverloadCommand:
         assert args.loads is None
         assert not args.no_adapt
         assert not args.adapt_only
+
+    def test_default_write_paths_come_from_the_config(self):
+        # Not every WritePath: at low load async_commit clients never
+        # COMMIT inside the deadline, so the sweep cannot score them.
+        args = build_parser().parse_args(["overload"])
+        assert tuple(args.write_paths) == OverloadConfig().write_paths
 
     def test_conflicting_mode_flags_rejected(self, capsys):
         assert main(["overload", "--no-adapt", "--adapt-only"]) == 2

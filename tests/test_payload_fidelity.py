@@ -154,17 +154,23 @@ class TestCrashContractAgreement:
 class TestReplicaAgreement:
     def test_replica_report_identical_across_modes(self):
         from repro.cluster.fleet import ClusterConfig
-        from repro.replica.experiment import _run_replica
+        from repro.experiments import ExperimentSpec, run
+        from repro.replica.experiment import ReplicaParams
 
         reports = {
-            mode: _run_replica(
-                ClusterConfig(servers=2, seed=0),
-                replica_counts=(0, 1),
-                clients=2,
-                files_per_client=1,
-                file_kb=32,
-                storm_crashes=1,
-                payload=mode,
+            mode: run(
+                ExperimentSpec(
+                    "replica",
+                    ReplicaParams(
+                        cluster=ClusterConfig(servers=2, seed=0),
+                        replica_counts=(0, 1),
+                        clients=2,
+                        files_per_client=1,
+                        file_kb=32,
+                        storm_crashes=1,
+                        payload=mode,
+                    ),
+                )
             )
             for mode in (PAYLOAD_FULL, PAYLOAD_FLYWEIGHT)
         }

@@ -4,10 +4,12 @@ import json
 
 import pytest
 
-from repro.cluster import ClusterConfig, ClusterOracle, ShardCrash, build_cluster
+from repro.cluster import ClusterConfig, ClusterOracle, ClusterParams, ShardCrash, build_cluster
 from repro.cluster.failover import FailoverController
 from repro.cluster.fleet import INO_STRIDE
-from repro.replica import replica_storm, run_replica, run_replica_arm
+from repro.experiments import ExperimentSpec, run
+from repro.replica import replica_storm, run_replica_arm
+from repro.replica.experiment import ReplicaParams
 from repro.rpc.messages import RpcCall
 from repro.workload.sequential import write_file
 
@@ -19,6 +21,11 @@ def _write(cluster, client, name, nbytes=8 * KB):
     proc = env.process(write_file(env, client, name, nbytes), name=f"w:{name}")
     env.run(until=proc)
     return proc.value
+
+
+def _run_storm(config, **params):
+    """One ``kind="replica"`` sweep over ``config``."""
+    return run(ExperimentSpec("replica", ReplicaParams(cluster=config, **params)))
 
 
 def _replicated(servers=1, replicas=1, quorum=1, seed=0, **kw):
@@ -39,12 +46,12 @@ class TestConstruction:
     def test_k0_cluster_run_unchanged_by_replica_layer(self):
         # The replica layer must be invisible at K=0: same seed, same JSON
         # as an identically-configured cluster run.
-        from repro.cluster import run_cluster
+        def cluster_json(config):
+            params = ClusterParams(cluster=config, clients=2)
+            return run(ExperimentSpec("cluster", params)).to_json()
 
         config = ClusterConfig(servers=2, seed=0)
-        assert run_cluster(config, clients=2).to_json() == run_cluster(
-            ClusterConfig(servers=2, seed=0), clients=2
-        ).to_json()
+        assert cluster_json(config) == cluster_json(ClusterConfig(servers=2, seed=0))
 
     def test_backups_are_full_shards_on_distinct_disks(self):
         cluster = build_cluster(_replicated(servers=2, replicas=2), clients=0)
@@ -237,13 +244,12 @@ class TestShardCrashValidation:
             ShardCrash(at=0.1, shard=0, outage=0.1, promote=True)
 
     def test_skipped_redirect_is_recorded(self):
-        from repro.cluster import run_cluster
-
-        result = run_cluster(
-            ClusterConfig(servers=1, seed=0),
+        params = ClusterParams(
+            cluster=ClusterConfig(servers=1, seed=0),
             clients=2,
             crashes=[ShardCrash(at=0.02, shard=0, outage=0.1, redirect=True)],
         )
+        result = run(ExperimentSpec("cluster", params))
         assert result.clean
         assert not result.faults[0]["redirected"]
         assert result.faults[0]["redirect_skipped"]
@@ -321,7 +327,7 @@ class TestReplicaExperiment:
         }
 
     def test_sweep_reports_the_cost_of_k(self):
-        result = run_replica(
+        result = _run_storm(
             ClusterConfig(servers=2, seed=0),
             replica_counts=[0, 1],
             clients=2,
@@ -347,6 +353,6 @@ class TestReplicaExperiment:
             file_kb=16,
             storm_crashes=2,
         )
-        first = run_replica(ClusterConfig(servers=2, seed=3), **kwargs).to_json()
-        second = run_replica(ClusterConfig(servers=2, seed=3), **kwargs).to_json()
+        first = _run_storm(ClusterConfig(servers=2, seed=3), **kwargs).to_json()
+        second = _run_storm(ClusterConfig(servers=2, seed=3), **kwargs).to_json()
         assert first == second
