@@ -163,7 +163,7 @@ class ClusterParams:
             if clients < 1:
                 raise ValueError(f"need at least one client, got {clients}")
         for servers in self.server_counts or ():
-            self.cluster.variant(servers=servers)
+            self.cluster.variant(servers=servers)  # each swept fleet must be valid
         if self.files_per_client < 1 or self.file_kb < 1:
             raise ValueError("files_per_client and file_kb must be >= 1")
         if self.crashes and self.sweep:

@@ -295,7 +295,7 @@ class ReplicaParams:
 
     def __post_init__(self) -> None:
         for replicas in self.replica_counts:
-            self.cluster.variant(replicas=replicas)
+            self.cluster.variant(replicas=replicas)  # e.g. quorum <= K for every arm
         if self.clients < 1 or self.files_per_client < 1 or self.file_kb < 1:
             raise ValueError("clients, files_per_client and file_kb must be >= 1")
         if self.storm_crashes < 0:

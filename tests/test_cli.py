@@ -1,6 +1,7 @@
 """Tests for the `repro` command-line interface."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -378,8 +379,6 @@ class TestCommandContract:
 
     @pytest.mark.parametrize("name", sorted(COMMANDS))
     def test_parser_defaults_equal_params_defaults(self, name):
-        from dataclasses import replace
-
         command = COMMANDS[name]
         argv, fields = _REQUIRED.get(name, ([], {}))
         args = build_parser().parse_args([name, *argv])

@@ -55,8 +55,8 @@ class TestRegistryContract:
 
     @pytest.mark.parametrize("name", EXPERIMENT_KINDS)
     def test_default_params_construct(self, name):
-        params = kind(name).params()
-        assert isinstance(ExperimentSpec(kind=name, config=params).config, kind(name).params)
+        spec = ExperimentSpec(kind=name, config=kind(name).params())
+        assert spec.config == kind(name).params()
 
     @pytest.mark.parametrize("name", EXPERIMENT_KINDS)
     def test_wrong_config_type_rejected(self, name):
