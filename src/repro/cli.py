@@ -25,12 +25,17 @@ Each subcommand is one :class:`Command` bound to an experiment kind
 (:mod:`repro.experiments.runner`): its flags, how the parsed args become
 the kind's params, and how the result prints.  :func:`main` is the one
 driver that runs every command through :func:`repro.experiments.run`.
+
+Exit status: 0 when every contract and verdict holds, 1 when one fails,
+2 for a bad parameter, and 141 (128 + SIGPIPE) when the reader closes
+stdout early, as in ``repro scrub --json | head``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -48,6 +53,8 @@ __all__ = ["main", "build_parser", "COMMANDS"]
 
 WRITE_PATHS = [member.value for member in WritePath]
 PRESTO_ARMS = {"off": (False,), "on": (True,), "both": (False, True)}
+#: What a shell reports for a writer killed by SIGPIPE (128 + 13).
+EXIT_BROKEN_PIPE = 141
 
 Flag = Tuple[Tuple[str, ...], dict]
 
@@ -634,7 +641,8 @@ class OverloadCommand(Command):
         "control with dup-cache-aware shedding).  Each combo also crashes the "
         "server mid-storm and asserts that every client-acked write survived.  "
         "Exits 1 on any crash-contract violation, a non-monotone adaptive "
-        "curve, or adaptive goodput below static at the top load."
+        "curve, adaptive goodput below static at the top load, or curves "
+        "with zero goodput at every load (nothing to score)."
     )
 
     def flags(self, d):
@@ -683,12 +691,17 @@ class OverloadCommand(Command):
         for combo in report.combos:
             tag = f"{combo['write_path']}/presto={'on' if combo['presto'] else 'off'}"
             for mode, curve in combo["curves"].items():
-                shape = "COLLAPSE" if curve["collapse"] else (
-                    "plateau" if curve["monotone_nondecreasing"] else "noisy"
-                )
+                if curve.get("unscored"):
+                    shape = "UNSCORED"
+                elif curve["collapse"]:
+                    shape = "COLLAPSE"
+                else:
+                    shape = "plateau" if curve["monotone_nondecreasing"] else "noisy"
                 yield f"  {tag:<24} {mode:<8} top {curve['goodput_kbs'][-1]:7.1f} KB/s  {shape}"
             verdict = combo.get("verdict")
-            if verdict is not None:
+            if verdict is not None and verdict.get("unscored"):
+                yield f"  {tag:<24} adaptation UNSCORED: zero goodput at every load"
+            elif verdict is not None:
                 outcome = "holds" if verdict["adaptation_wins"] else "FAILS"
                 yield (
                     f"  {tag:<24} adaptation {outcome}: "
@@ -1168,22 +1181,30 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"{command.name}: {exc}", file=sys.stderr)
         return 2
     as_json = getattr(args, "json", False)
-    header = None if as_json else command.header(params)
-    if header is not None:
-        print(header)
-    progress = None
-    if command.progress is not None and not as_json:
-        progress = lambda item: print(command.progress(item))  # noqa: E731
-    result = command.execute(params, progress)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as handle:
-            handle.write(command.to_json(result, params) + "\n")
-        if not as_json:
-            print(f"wrote {out}")
-    lines = [command.to_json(result, params)] if as_json else command.render(result, params)
-    for line in lines:
-        print(line)
+    try:
+        header = None if as_json else command.header(params)
+        if header is not None:
+            print(header)
+        progress = None
+        if command.progress is not None and not as_json:
+            progress = lambda item: print(command.progress(item))  # noqa: E731
+        result = command.execute(params, progress)
+        out = getattr(args, "out", None)
+        if out:
+            with open(out, "w") as handle:
+                handle.write(command.to_json(result, params) + "\n")
+            if not as_json:
+                print(f"wrote {out}")
+        lines = [command.to_json(result, params)] if as_json else command.render(result, params)
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (``repro scrub --json | head``).  Point
+        # stdout at /dev/null so the exit-time flush stays quiet too, and
+        # exit as a writer killed by SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     return 0 if command.ok(result) else 1
 
 

@@ -19,18 +19,31 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Generator, List, Optional, Sequence
+from typing import Any, Callable, Generator, List, Optional, Sequence
 
 from repro.cluster.failover import FailoverController, ShardCrash, check_plan
 from repro.cluster.fleet import Cluster, ClusterConfig
 from repro.cluster.oracle import ClusterOracle
 from repro.experiments.runner import register
 from repro.nfs.client import NfsClient
+from repro.obs import registry_for
 from repro.payload import PAYLOAD_FULL, coerce_payload_mode
 from repro.sim import AllOf, Environment
 from repro.workload.sequential import write_file
 
-__all__ = ["ClusterParams", "ClusterRunResult", "ScalingSweepResult"]
+__all__ = [
+    "ClusterParams",
+    "ClusterRunResult",
+    "FleetRun",
+    "ScalingSweepResult",
+    "client_files",
+    "file_writer",
+    "run_fleet",
+]
+
+#: A per-client writer: ``workload(env, client, index)`` is the body of
+#: client ``index``'s process.
+Workload = Callable[[Environment, NfsClient, int], Generator]
 
 
 @dataclass
@@ -111,24 +124,9 @@ class ClusterRunResult:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _client_files(host: str, files_per_client: int) -> List[str]:
+def client_files(host: str, files_per_client: int) -> List[str]:
     """The deterministic file names one client writes."""
     return [f"{host}-f{index}" for index in range(files_per_client)]
-
-
-def _client_workload(
-    env: Environment,
-    client: NfsClient,
-    names: Sequence[str],
-    nbytes: int,
-    think_time: float,
-    payload: str = PAYLOAD_FULL,
-) -> Generator:
-    for name in names:
-        yield from write_file(
-            env, client, name, nbytes, think_time=think_time, payload=payload
-        )
-    return env.now
 
 
 #: Default producer think time for cluster workloads.  Deliberately a
@@ -138,6 +136,127 @@ def _client_workload(
 #: when server-side queueing holds same-file writes together — which is
 #: exactly the per-server concurrency that sharding dilutes.
 CLUSTER_THINK_TIME = 0.006
+
+
+def file_writer(
+    files_per_client: int,
+    file_kb: int,
+    think_time: float = CLUSTER_THINK_TIME,
+    payload: str = PAYLOAD_FULL,
+) -> Workload:
+    """The sharded write workload: each client writes its own
+    :func:`client_files` in turn, ``file_kb`` each."""
+
+    def workload(env: Environment, client: NfsClient, index: int) -> Generator:
+        for name in client_files(client.rpc.endpoint.host, files_per_client):
+            yield from write_file(
+                env, client, name, file_kb * 1024, think_time=think_time, payload=payload
+            )
+
+    return workload
+
+
+def _timed(env: Environment, body: Generator) -> Generator:
+    yield from body
+    return env.now
+
+
+@dataclass
+class FleetRun:
+    """One seeded fleet run, driven until its writers finish.
+
+    Every cluster experiment arm is one of these: :func:`run_fleet` builds
+    the fleet and its oracle, arms the caller's extras, starts one writer
+    per client (plus an optional crash plan) and runs until the last
+    writer returns.  The arm then adds its own phases, if any, and calls
+    :meth:`quiesce` — the one drain-and-check every arm ends with.
+    """
+
+    cluster: Cluster
+    oracle: ClusterOracle
+    #: Whatever the ``arm`` hook returned (policy, scrubber, engine...).
+    armed: Any
+    controller: Optional[FailoverController]
+    #: Sim time the last writer finished.
+    elapsed: float
+
+    def quiesce(self) -> List[str]:
+        """Drain in-flight completions, replication sessions, NVRAM
+        destage and watchdogs, then assert the crash contract and byte-
+        compare surviving replicas; returns the violations found."""
+        self.cluster.env.run()
+        found = self.oracle.check("final")
+        found.extend(self.oracle.check_divergence("quiesce"))
+        return found
+
+    def write_latency_ms(self) -> dict:
+        """Client-observed write latency over every client.  Floor rank,
+        not :meth:`Tally.percentile`'s ceil rank: the seeded replica and
+        tiering outputs pin this rule."""
+        samples = sorted(
+            sample for client in self.cluster.clients for sample in client.write_latency.samples
+        )
+
+        def at(q: float) -> float:
+            if not samples:
+                return 0.0
+            return samples[min(len(samples) - 1, int(q * len(samples)))]
+
+        return {
+            "mean": round((sum(samples) / len(samples) * 1000.0) if samples else 0.0, 4),
+            "p50": round(at(0.50) * 1000.0, 4),
+            "p99": round(at(0.99) * 1000.0, 4),
+        }
+
+
+def run_fleet(
+    config: ClusterConfig,
+    clients: int,
+    workload: Workload,
+    arm: Optional[Callable[[Cluster, ClusterOracle], Any]] = None,
+    crashes: Optional[Sequence[ShardCrash]] = None,
+) -> FleetRun:
+    """Build, arm and drive one fleet (see :class:`FleetRun`).
+
+    ``arm(cluster, oracle)`` hooks in placement, scrubbers, fault storms
+    or migration engines before any client exists.  Clients are then
+    added, attached and started one at a time, in index order — heap
+    order decides the seeded timeline — and ``crashes`` (if any) drive a
+    :class:`FailoverController` once every writer is running.
+    """
+    if clients < 1:
+        raise ValueError(f"need at least one client, got {clients}")
+    cluster = Cluster(config)
+    oracle = ClusterOracle(cluster)
+    env = cluster.env
+    # Pre-register the clients' write-latency tallies *with samples*
+    # before the clients build (registration is get-or-create), so
+    # percentiles are computable without touching the client code.
+    registry = registry_for(env)
+    for index in range(clients):
+        registry.tally(f"nfs.client-{index}.write_latency", keep_samples=True)
+    armed = arm(cluster, oracle) if arm is not None else None
+    writers = []
+    for index in range(clients):
+        client = cluster.add_client()
+        oracle.attach(client)
+        writers.append(
+            env.process(
+                _timed(env, workload(env, client, index)),
+                name=f"workload:{client.rpc.endpoint.host}",
+            )
+        )
+    controller = None
+    if crashes:
+        controller = FailoverController(cluster, crashes, oracle=oracle).start()
+    env.run(until=AllOf(env, writers))
+    return FleetRun(
+        cluster=cluster,
+        oracle=oracle,
+        armed=armed,
+        controller=controller,
+        elapsed=max(proc.value for proc in writers),
+    )
 
 
 @dataclass
@@ -179,44 +298,18 @@ class ClusterParams:
 def _run_cell(params: ClusterParams, config: ClusterConfig, clients: int) -> ClusterRunResult:
     """Run the sharded write workload on ``config`` with ``clients``
     writers (under ``params.crashes``, if any)."""
-    files_per_client, file_kb, crashes = params.files_per_client, params.file_kb, params.crashes
-    cluster = Cluster(config)
-    oracle = ClusterOracle(cluster)
-    hosts: List[str] = []
-    writers = []
-    env = cluster.env
-    nbytes = file_kb * 1024
-    for _ in range(clients):
-        client = cluster.add_client()
-        oracle.attach(client)
-        host = client.rpc.endpoint.host
-        hosts.append(host)
-        writers.append(
-            env.process(
-                _client_workload(
-                    env,
-                    client,
-                    _client_files(host, files_per_client),
-                    nbytes,
-                    CLUSTER_THINK_TIME,
-                    params.payload,
-                ),
-                name=f"workload:{host}",
-            )
-        )
-    controller = None
-    if crashes:
-        controller = FailoverController(cluster, crashes, oracle=oracle).start()
-    env.run(until=AllOf(env, writers))
-    elapsed = max(proc.value for proc in writers)
-    env.run()  # drain in-flight completions, NVRAM destage, watchdogs
-    oracle.check("final")
-    total_bytes = clients * files_per_client * nbytes
-    placement = {
-        host: 0 for host in (server.host for server in cluster.servers)
-    }
-    for host in hosts:
-        for name in _client_files(host, files_per_client):
+    fleet = run_fleet(
+        config,
+        clients,
+        file_writer(params.files_per_client, params.file_kb, payload=params.payload),
+        crashes=params.crashes,
+    )
+    fleet.quiesce()
+    cluster, oracle, controller = fleet.cluster, fleet.oracle, fleet.controller
+    total_bytes = clients * params.files_per_client * params.file_kb * 1024
+    placement = {server.host: 0 for server in cluster.servers}
+    for client in cluster.clients:
+        for name in client_files(client.rpc.endpoint.host, params.files_per_client):
             placement[cluster.router.server_for_name(name)] += 1
     return ClusterRunResult(
         servers=len(cluster.servers),
@@ -226,11 +319,11 @@ def _run_cell(params: ClusterParams, config: ClusterConfig, clients: int) -> Clu
         write_path=str(config.write_path),
         presto=bool(config.presto_bytes),
         seed=config.seed,
-        file_kb=file_kb,
-        files_per_client=files_per_client,
-        elapsed=elapsed,
+        file_kb=params.file_kb,
+        files_per_client=params.files_per_client,
+        elapsed=fleet.elapsed,
         total_bytes=total_bytes,
-        aggregate_kb_per_sec=total_bytes / elapsed / 1024.0,
+        aggregate_kb_per_sec=total_bytes / fleet.elapsed / 1024.0,
         per_shard=cluster.per_shard_rollup(),
         aggregate=cluster.aggregate_rollup(),
         placement=placement,

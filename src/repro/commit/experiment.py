@@ -324,49 +324,34 @@ def _probe_promotion_mid_commit(config: CommitConfig) -> dict:
     """A replicated shard's primary dies mid-workload and its backup is
     promoted; the promotion bumps the verifier, so every in-flight
     COMMIT train mismatches and replays into the promoted backup."""
-    from repro.cluster.failover import FailoverController, ShardCrash
-    from repro.cluster.fleet import Cluster, ClusterConfig
-    from repro.cluster.oracle import ClusterOracle
+    from repro.cluster.experiment import run_fleet
+    from repro.cluster.failover import ShardCrash
+    from repro.cluster.fleet import ClusterConfig
 
-    cluster = Cluster(
+    def promoted_file(env, client, index):
+        # 4x the replica-arm size so the write trains are still in
+        # flight when the promotion lands and the verifier bump forces a
+        # mid-train replay.
+        nbytes = config.replica_file_kb * 4 * 1024
+        return write_file(env, client, f"promoted-{index}", nbytes, think_time=0.0005)
+
+    # The workload runs ~0.6s and every client holds its full file
+    # uncommitted between t=0.2 and t=0.3; firing the promotion inside
+    # that window guarantees in-flight ranges tagged with the dead
+    # primary's verifier.
+    fleet = run_fleet(
         ClusterConfig(
             servers=config.replica_servers,
             write_path="async_commit",
             replicas=1,
             seed=config.seed,
-        )
+        ),
+        config.replica_clients,
+        promoted_file,
+        crashes=[ShardCrash(at=0.25, shard=0, promote=True)],
     )
-    oracle = ClusterOracle(cluster)
-    env = cluster.env
-    writers = []
-    for index in range(config.replica_clients):
-        client = cluster.add_client()
-        oracle.attach(client)
-        writers.append(
-            env.process(
-                write_file(
-                    env,
-                    client,
-                    f"promoted-{index}",
-                    # 4x the replica-arm size so the write trains are
-                    # still in flight when the promotion lands and the
-                    # verifier bump forces a mid-train replay.
-                    config.replica_file_kb * 4 * 1024,
-                    think_time=0.0005,
-                ),
-                name=f"probe-promote:{index}",
-            )
-        )
-    # The workload runs ~0.6s and every client holds its full file
-    # uncommitted between t=0.2 and t=0.3; firing the promotion inside
-    # that window guarantees in-flight ranges tagged with the dead
-    # primary's verifier.
-    crashes = [ShardCrash(at=0.25, shard=0, promote=True)]
-    controller = FailoverController(cluster, crashes, oracle=oracle).start()
-    env.run(until=AllOf(env, writers))
-    env.run()
-    oracle.check("final")
-    oracle.check_divergence("quiesce")
+    fleet.quiesce()
+    cluster, oracle, controller = fleet.cluster, fleet.oracle, fleet.controller
     trackers = [c.tracker for c in cluster.clients if c.tracker is not None]
     record = {
         "name": "promotion_mid_commit",

@@ -90,7 +90,7 @@ class GatherStats:
         """
         if self.writes.value == 0:
             return 0.0
-        singles = sum(1 for s in (self.batch_size._samples or []) if s <= 1)
+        singles = sum(1 for s in self.batch_size.samples if s <= 1)
         return 1.0 - singles / self.writes.value
 
     def mean_batch_size(self) -> float:

@@ -27,11 +27,11 @@ from typing import List, Optional, Sequence
 
 from repro.cluster.experiment import (
     CLUSTER_THINK_TIME,
-    _client_files,
-    _client_workload,
+    client_files,
+    file_writer,
+    run_fleet,
 )
 from repro.cluster.fleet import Cluster, ClusterConfig
-from repro.cluster.oracle import ClusterOracle
 from repro.experiments.runner import register
 from repro.faults.controller import FaultController
 from repro.faults.events import (
@@ -44,7 +44,6 @@ from repro.faults.events import (
     TornWrite,
 )
 from repro.nfs.protocol import NfsError
-from repro.payload import PAYLOAD_FULL
 from repro.integrity.scrub import Scrubber, install_scrub_fetch
 from repro.sim import AllOf
 
@@ -235,56 +234,43 @@ def run_scrub_arm(
     config: ScrubConfig, rate: float, bandwidth: float, replicas: int
 ) -> ScrubArm:
     """One cell: workload + storm + scrub + read-back audit."""
-    cluster_config = ClusterConfig(
-        servers=1,
-        replicas=replicas,
-        quorum=1,
-        presto_bytes=config.presto_bytes,
-        seed=config.seed,
-    )
-    cluster = Cluster(cluster_config)
-    env = cluster.env
-    oracle = ClusterOracle(cluster)
-    primary = cluster.servers[0]
-    group = cluster.groups[0]
-    for member in group.members:
-        install_scrub_fetch(member)
-    scrubber = Scrubber(
-        primary,
-        primary.storage,
-        group=group if replicas > 0 else None,
-        bandwidth=bandwidth,
-        interval=config.scrub_interval,
-    ).start()
-
     nbytes = config.file_kb * 1024
-    block_size = primary.ufs.block_size
-    total_blocks = max(
-        1, config.clients * config.files_per_client * nbytes // block_size
-    )
-    victims = max(1, int(round(rate * total_blocks)))
-    controller = FaultController(
-        _ShardTarget(cluster), _storm(rate, victims, config.seed), oracle=oracle
-    ).start()
 
-    writers = []
-    client_names: List[tuple] = []
-    for _ in range(config.clients):
-        client = cluster.add_client()
-        oracle.attach(client)
-        host = client.rpc.endpoint.host
-        names = _client_files(host, config.files_per_client)
-        client_names.append((client, names))
-        writers.append(
-            env.process(
-                _client_workload(
-                    env, client, names, nbytes, config.think_time, PAYLOAD_FULL
-                ),
-                name=f"workload:{host}",
-            )
+    def storm(cluster, oracle):
+        primary = cluster.servers[0]
+        group = cluster.groups[0]
+        for member in group.members:
+            install_scrub_fetch(member)
+        scrubber = Scrubber(
+            primary,
+            primary.storage,
+            group=group if replicas > 0 else None,
+            bandwidth=bandwidth,
+            interval=config.scrub_interval,
+        ).start()
+        total_blocks = max(
+            1, config.clients * config.files_per_client * nbytes // primary.ufs.block_size
         )
-    env.run(until=AllOf(env, writers))
-    elapsed = max(proc.value for proc in writers)
+        victims = max(1, int(round(rate * total_blocks)))
+        controller = FaultController(
+            _ShardTarget(cluster), _storm(rate, victims, config.seed), oracle=oracle
+        ).start()
+        return scrubber, controller
+
+    fleet = run_fleet(
+        ClusterConfig(
+            servers=1,
+            replicas=replicas,
+            quorum=1,
+            presto_bytes=config.presto_bytes,
+            seed=config.seed,
+        ),
+        config.clients,
+        file_writer(config.files_per_client, config.file_kb, config.think_time),
+        arm=storm,
+    )
+    env, oracle = fleet.cluster.env, fleet.oracle
+    scrubber, controller = fleet.armed
     # Quiescing before the storm has landed would let the scrub converge
     # on a clean image and stop before the faults it exists to catch.
     env.run(until=AllOf(env, controller.drivers))
@@ -299,17 +285,20 @@ def run_scrub_arm(
     counts = {"eio": 0}
     readers = [
         env.process(
-            _read_back(env, client, names, nbytes, counts),
+            _read_back(
+                env,
+                client,
+                client_files(client.rpc.endpoint.host, config.files_per_client),
+                nbytes,
+                counts,
+            ),
             name=f"readback:{client.rpc.endpoint.host}",
         )
-        for client, names in client_names
+        for client in fleet.cluster.clients
     ]
     env.run(until=AllOf(env, readers))
-    env.run()  # drain replication sessions, NVRAM destage, watchdogs
-    crash_time = len(oracle.violations)
-    final_violations = oracle.check("final")
-    if replicas > 0:
-        final_violations.extend(oracle.check_divergence("quiesce"))
+    crash_time = len(oracle.violations)  # every check so far ran at a crash
+    final_violations = fleet.quiesce()
 
     injected = _injected_defects(controller.log)
     latencies = [
@@ -321,7 +310,7 @@ def run_scrub_arm(
         corruption_rate=rate,
         scrub_bandwidth=bandwidth,
         replicas=replicas,
-        elapsed=elapsed,
+        elapsed=fleet.elapsed,
         acked_writes=oracle.acked_writes,
         injected_defects=len(injected),
         scrub_passes=scrubber.passes,

@@ -295,12 +295,17 @@ def _curve_flags(points: List[dict], tolerance: float, collapse_margin: float) -
         later >= earlier * (1.0 - tolerance)
         for earlier, later in zip(goodputs, goodputs[1:])
     )
-    return {
+    flags = {
         "goodput_kbs": goodputs,
         "peak_goodput_kbs": peak,
         "collapse": collapse,
         "monotone_nondecreasing": monotone,
     }
+    if peak <= 0:
+        # Nothing was delivered at any load: an all-zero curve is flat,
+        # not a plateau, and cannot be scored.
+        flags["unscored"] = True
+    return flags
 
 
 @dataclass
@@ -426,9 +431,13 @@ def _verdict(combo: dict, config: OverloadConfig) -> Optional[dict]:
         return None
     static_top = curves["static"]["goodput_kbs"][-1]
     adaptive_top = curves["adaptive"]["goodput_kbs"][-1]
-    return {
+    verdict = {
         "static_top_goodput_kbs": static_top,
         "adaptive_top_goodput_kbs": adaptive_top,
         "adaptation_wins": adaptive_top >= static_top * (1.0 - config.monotone_tolerance)
         and curves["adaptive"]["monotone_nondecreasing"],
     }
+    if any(curve.get("unscored") for curve in curves.values()):
+        # No goodput to compare: the verdict can only fail.
+        verdict.update(adaptation_wins=False, unscored=True)
+    return verdict

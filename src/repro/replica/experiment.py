@@ -23,18 +23,11 @@ import json
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.cluster.experiment import (
-    CLUSTER_THINK_TIME,
-    _client_files,
-    _client_workload,
-)
-from repro.cluster.failover import FailoverController, ShardCrash
-from repro.cluster.fleet import Cluster, ClusterConfig
-from repro.cluster.oracle import ClusterOracle
+from repro.cluster.experiment import CLUSTER_THINK_TIME, file_writer, run_fleet
+from repro.cluster.failover import ShardCrash
+from repro.cluster.fleet import ClusterConfig
 from repro.experiments.runner import register
-from repro.obs import registry_for
 from repro.payload import PAYLOAD_FULL, coerce_payload_mode
-from repro.sim import AllOf
 
 __all__ = ["ReplicaParams", "ReplicaRunResult", "replica_storm", "run_replica_arm"]
 
@@ -119,58 +112,15 @@ def run_replica_arm(
     payload: str = PAYLOAD_FULL,
 ) -> ReplicaArm:
     """One arm: the sharded write workload at one replication factor."""
-    if clients < 1:
-        raise ValueError(f"need at least one client, got {clients}")
-    cluster = Cluster(config)
-    oracle = ClusterOracle(cluster)
-    env = cluster.env
-    registry = registry_for(env)
-    # Pre-register the clients' write-latency tallies *with samples*
-    # before the clients build (registration is get-or-create), so
-    # percentiles are computable without touching the client code.
-    tallies = [
-        registry.tally(f"nfs.client-{index}.write_latency", keep_samples=True)
-        for index in range(clients)
-    ]
-    writers = []
-    nbytes = file_kb * 1024
-    for _ in range(clients):
-        client = cluster.add_client()
-        oracle.attach(client)
-        host = client.rpc.endpoint.host
-        writers.append(
-            env.process(
-                _client_workload(
-                    env,
-                    client,
-                    _client_files(host, files_per_client),
-                    nbytes,
-                    think_time,
-                    payload,
-                ),
-                name=f"workload:{host}",
-            )
-        )
-    controller = None
-    if crashes:
-        controller = FailoverController(cluster, crashes, oracle=oracle).start()
-    env.run(until=AllOf(env, writers))
-    elapsed = max(proc.value for proc in writers)
-    env.run()  # drain replication sessions, NVRAM destage, watchdogs
-    oracle.check("final")
-    oracle.check_divergence("quiesce")
-    total_bytes = clients * files_per_client * nbytes
-    samples: List[float] = []
-    for tally in tallies:
-        samples.extend(tally._samples or [])
-    samples.sort()
-
-    def percentile(q: float) -> float:
-        if not samples:
-            return 0.0
-        index = min(len(samples) - 1, int(q * len(samples)))
-        return samples[index]
-
+    fleet = run_fleet(
+        config,
+        clients,
+        file_writer(files_per_client, file_kb, think_time, payload),
+        crashes=crashes,
+    )
+    fleet.quiesce()
+    cluster, oracle, controller = fleet.cluster, fleet.oracle, fleet.controller
+    total_bytes = clients * files_per_client * file_kb * 1024
     replication = {"batches": 0, "ops": 0, "acks": 0, "resyncs": 0}
     waits: List[float] = []
     for group in cluster.groups:
@@ -190,16 +140,10 @@ def run_replica_arm(
     return ReplicaArm(
         replicas=config.replicas,
         quorum=min(config.quorum, config.replicas) if config.replicas else 0,
-        elapsed=elapsed,
+        elapsed=fleet.elapsed,
         total_bytes=total_bytes,
-        aggregate_kb_per_sec=total_bytes / elapsed / 1024.0,
-        write_latency_ms={
-            "mean": round(
-                (sum(samples) / len(samples) * 1000.0) if samples else 0.0, 4
-            ),
-            "p50": round(percentile(0.50) * 1000.0, 4),
-            "p99": round(percentile(0.99) * 1000.0, 4),
-        },
+        aggregate_kb_per_sec=total_bytes / fleet.elapsed / 1024.0,
+        write_latency_ms=fleet.write_latency_ms(),
         acked_writes=oracle.acked_writes,
         crashes=controller.crashes if controller else 0,
         promotions=controller.promotions if controller else 0,

@@ -51,6 +51,12 @@ class Tally:
         return self._mean if self.count else 0.0
 
     @property
+    def samples(self) -> List[float]:
+        """The recorded samples in arrival order (empty without
+        ``keep_samples``); a copy, so callers cannot skew the tally."""
+        return list(self._samples or ())
+
+    @property
     def variance(self) -> float:
         return self._m2 / self.count if self.count else 0.0
 

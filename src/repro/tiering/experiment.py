@@ -31,12 +31,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
-from repro.cluster.failover import FailoverController, ShardCrash
+from repro.cluster.experiment import run_fleet
+from repro.cluster.failover import ShardCrash
 from repro.cluster.fleet import Cluster, ClusterConfig
-from repro.cluster.oracle import ClusterOracle
 from repro.experiments.runner import register
-from repro.obs import registry_for
-from repro.sim import AllOf
 from repro.tiering.engine import MigrationEngine, MigrationPlan
 from repro.tiering.placement import POLICY_NAMES, make_policy
 from repro.tiering.tiers import TierConfig
@@ -161,52 +159,24 @@ class TieringArm:
         }
 
 
-def _percentiles(samples: List[float]) -> dict:
-    samples = sorted(samples)
+def _tenant_writer(config: TieringConfig):
+    """One Zipf append writer per tenant (client ``index`` is tenant
+    ``index``)."""
 
-    def at(q: float) -> float:
-        if not samples:
-            return 0.0
-        return samples[min(len(samples) - 1, int(q * len(samples)))]
+    def workload(env, client, tenant):
+        return zipf_tenant(
+            env,
+            client,
+            tenant,
+            files=config.files_per_tenant,
+            ops=config.ops_per_tenant,
+            chunk_bytes=config.chunk_kb * 1024,
+            skew=config.skew,
+            think_time=config.think_time,
+            seed=config.seed,
+        )
 
-    return {
-        "mean": round((sum(samples) / len(samples) * 1000.0) if samples else 0.0, 4),
-        "p50": round(at(0.50) * 1000.0, 4),
-        "p99": round(at(0.99) * 1000.0, 4),
-    }
-
-
-def _spawn_tenants(cluster: Cluster, oracle: ClusterOracle, config: TieringConfig):
-    """Attach one client per tenant and start its Zipf writer; returns
-    the writer processes (each resolves to its finish time) and the
-    pre-registered latency tallies."""
-    env = cluster.env
-    registry = registry_for(env)
-    tallies = [
-        registry.tally(f"nfs.client-{tenant}.write_latency", keep_samples=True)
-        for tenant in range(config.tenants)
-    ]
-    writers = []
-    for tenant in range(config.tenants):
-        client = cluster.add_client()
-        oracle.attach(client)
-
-        def tenant_proc(client=client, tenant=tenant):
-            yield from zipf_tenant(
-                env,
-                client,
-                tenant,
-                files=config.files_per_tenant,
-                ops=config.ops_per_tenant,
-                chunk_bytes=config.chunk_kb * 1024,
-                skew=config.skew,
-                think_time=config.think_time,
-                seed=config.seed,
-            )
-            return env.now
-
-        writers.append(env.process(tenant_proc(), name=f"tenant-{tenant}"))
-    return writers, tallies
+    return workload
 
 
 def _placement_census(cluster: Cluster, config: TieringConfig, policy) -> dict:
@@ -225,38 +195,31 @@ def _placement_census(cluster: Cluster, config: TieringConfig, policy) -> dict:
 
 def _run_arm(
     config: TieringConfig,
-    fleet: str,
+    fleet_name: str,
     policy_name: str,
     cluster_config: ClusterConfig,
 ) -> TieringArm:
-    cluster = Cluster(cluster_config)
-    oracle = ClusterOracle(cluster)
-    policy = make_policy(policy_name, cluster)
-    if policy is not None:
-        cluster.router.set_placement(policy)
-    writers, tallies = _spawn_tenants(cluster, oracle, config)
-    env = cluster.env
-    env.run(until=AllOf(env, writers))
-    elapsed = max(proc.value for proc in writers)
-    env.run()  # drain NVRAM destage, replication, watchdogs
-    oracle.check("final")
-    oracle.check_divergence("quiesce")
-    samples: List[float] = []
-    for tally in tallies:
-        samples.extend(tally._samples or [])
+    def place(cluster, oracle):
+        policy = make_policy(policy_name, cluster)
+        if policy is not None:
+            cluster.router.set_placement(policy)
+        return policy
+
+    fleet = run_fleet(cluster_config, config.tenants, _tenant_writer(config), arm=place)
+    fleet.quiesce()
     total_bytes = config.tenants * config.ops_per_tenant * config.chunk_kb * 1024
     return TieringArm(
-        fleet=fleet,
+        fleet=fleet_name,
         policy=policy_name,
-        elapsed=elapsed,
+        elapsed=fleet.elapsed,
         total_bytes=total_bytes,
-        aggregate_kb_per_sec=total_bytes / elapsed / 1024.0,
-        write_latency_ms=_percentiles(samples),
-        acked_writes=oracle.acked_writes,
-        placement=_placement_census(cluster, config, policy),
-        oracle_checks=oracle.checks,
-        stable_violations=cluster.stable_violations_total(),
-        violations=oracle.violations,
+        aggregate_kb_per_sec=total_bytes / fleet.elapsed / 1024.0,
+        write_latency_ms=fleet.write_latency_ms(),
+        acked_writes=fleet.oracle.acked_writes,
+        placement=_placement_census(fleet.cluster, config, fleet.armed),
+        oracle_checks=fleet.oracle.checks,
+        stable_violations=fleet.cluster.stable_violations_total(),
+        violations=fleet.oracle.violations,
     )
 
 
@@ -309,35 +272,35 @@ def _storm_crashes(config: TieringConfig, plans: List[dict]) -> List[ShardCrash]
 
 
 def _run_storm(config: TieringConfig) -> dict:
-    cluster_config = ClusterConfig(
-        tiers=config.mixed_tiers(),
-        seed=config.seed,
-        replicas=config.storm_replicas,
-    )
-    cluster = Cluster(cluster_config)
-    oracle = ClusterOracle(cluster)
-    policy = make_policy("hot-first", cluster)
-    cluster.router.set_placement(policy)
-    writers, tallies = _spawn_tenants(cluster, oracle, config)
-    env = cluster.env
-    engine = MigrationEngine(
-        cluster,
-        oracle=oracle,
-        chunk_bytes=8192,
-        park_threshold=4096,
-        copy_pace=0.003,
-    )
     plans = _storm_plans(config)
-    engine.start(
-        [MigrationPlan(at=p["at"], name=p["name"], dest=p["dest"]) for p in plans]
+
+    def migrate(cluster, oracle):
+        cluster.router.set_placement(make_policy("hot-first", cluster))
+        engine = MigrationEngine(
+            cluster,
+            oracle=oracle,
+            chunk_bytes=8192,
+            park_threshold=4096,
+            copy_pace=0.003,
+        )
+        return engine.start(
+            [MigrationPlan(at=p["at"], name=p["name"], dest=p["dest"]) for p in plans]
+        )
+
+    fleet = run_fleet(
+        ClusterConfig(
+            tiers=config.mixed_tiers(),
+            seed=config.seed,
+            replicas=config.storm_replicas,
+        ),
+        config.tenants,
+        _tenant_writer(config),
+        arm=migrate,
+        crashes=_storm_crashes(config, plans),
     )
-    crashes = _storm_crashes(config, plans)
-    controller = FailoverController(cluster, crashes, oracle=oracle).start()
-    env.run(until=AllOf(env, writers))
-    env.run()  # drain migrations, replication sessions, watchdogs
-    oracle.check("final")
-    oracle.check_divergence("quiesce")
-    summary = engine.summary()
+    fleet.quiesce()
+    cluster, oracle, controller = fleet.cluster, fleet.oracle, fleet.controller
+    summary = fleet.armed.summary()
     migrations = []
     for record in summary["migrations"]:
         entry = dict(record)

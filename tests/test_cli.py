@@ -1,6 +1,9 @@
 """Tests for the `repro` command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -395,3 +398,25 @@ class TestCommandContract:
         assert captured.out == ""
         assert captured.err.startswith(f"{name}: ")
         assert captured.err.count("\n") == 1
+
+
+class TestClosedPipe:
+    def test_reader_gone_exits_without_a_traceback(self):
+        """``repro scrub --json | head`` must not print a BrokenPipeError
+        traceback: the reader closing early is not a crash."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first byte
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "scrub", "--bandwidths", "4194304",
+                 "--replicas", "0", "--json"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 141

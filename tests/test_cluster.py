@@ -10,8 +10,12 @@ from repro.cluster import (
 )
 from repro.cluster.experiment import ClusterParams
 from repro.cluster.fleet import INO_STRIDE
+from repro.commit.experiment import CommitConfig, _probe_promotion_mid_commit
 from repro.experiments import ExperimentSpec, run
 from repro.experiments.testbed import Testbed, TestbedConfig
+from repro.integrity.experiment import ScrubConfig, run_scrub_arm
+from repro.replica import run_replica_arm
+from repro.tiering.experiment import TieringConfig, _run_arm, _run_storm
 from repro.workload.sequential import write_file
 
 KB = 1024
@@ -216,3 +220,50 @@ class TestTestbedAddClient:
         testbed = Testbed(TestbedConfig())
         hosts = [testbed.add_client().rpc.endpoint.host for _ in range(4)]
         assert len(set(hosts)) == 4
+
+
+def _cluster_arm():
+    config = ClusterConfig(servers=2, replicas=1)
+    return _run_fleet(config, clients=2, files_per_client=1, file_kb=16).clean
+
+
+def _replica_arm():
+    return run_replica_arm(ClusterConfig(servers=2, replicas=1), clients=2, file_kb=16).clean
+
+
+def _scrub_arm():
+    return run_scrub_arm(ScrubConfig(clients=2, files_per_client=1), 0.25, 4 << 20, 1).clean
+
+
+def _tiering_arm():
+    config = TieringConfig(tenants=2, files_per_tenant=2, ops_per_tenant=8)
+    arm = _run_arm(config, "mixed", "hot-first", ClusterConfig(tiers=config.mixed_tiers()))
+    return arm.clean
+
+
+def _tiering_storm():
+    return _run_storm(TieringConfig(tenants=3, files_per_tenant=2, ops_per_tenant=16))["clean"]
+
+
+def _commit_promotion_probe():
+    return _probe_promotion_mid_commit(CommitConfig())["clean"]
+
+
+@pytest.mark.parametrize(
+    "arm",
+    [_cluster_arm, _replica_arm, _scrub_arm, _tiering_arm, _tiering_storm, _commit_promotion_probe],
+    ids=lambda arm: arm.__name__.lstrip("_"),
+)
+def test_every_fleet_arm_quiesces_with_one_divergence_check(arm, monkeypatch):
+    """Every fleet experiment ends the same way: drain, the final crash
+    check, then exactly one post-quiesce replica byte-compare."""
+    labels = []
+    check_divergence = ClusterOracle.check_divergence
+
+    def counted(oracle, label="quiesce"):
+        labels.append(label)
+        return check_divergence(oracle, label)
+
+    monkeypatch.setattr(ClusterOracle, "check_divergence", counted)
+    assert arm()
+    assert labels == ["quiesce"]

@@ -12,6 +12,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.experiments import ExperimentSpec, run
 from repro.overload import MODES, OverloadConfig
+from repro.overload.experiment import _curve_flags, _verdict
 
 SMALL = dict(
     write_paths=("gather",),
@@ -84,6 +85,20 @@ class TestSweep:
         first = small_report().to_json()
         second = run(ExperimentSpec("overload", OverloadConfig(**SMALL))).to_json()
         assert first == second
+
+
+class TestUnscoredCurves:
+    """A curve that delivered nothing at any load has no shape to judge:
+    it must not read as a plateau, and its verdict must not pass."""
+
+    def test_zero_goodput_curves_are_unscored_and_fail(self):
+        config = OverloadConfig()
+        flat = [{"goodput_kbs": 0.0}, {"goodput_kbs": 0.0}]
+        flags = _curve_flags(flat, config.monotone_tolerance, config.collapse_margin)
+        assert flags["unscored"] is True
+        verdict = _verdict({"curves": {"static": flags, "adaptive": flags}}, config)
+        assert verdict["unscored"] is True
+        assert verdict["adaptation_wins"] is False
 
 
 class TestConfigValidation:
