@@ -89,19 +89,19 @@ class ClusterOracle:
         """Hand one file's bookkeeping to another shard (live migration).
 
         Called in the cutover instant, right after the router's pins
-        repoint: the acked image, its mask, and any still-uncommitted
+        repoint: the acked image, its run list, and any still-uncommitted
         pending ranges now describe a promise the *destination* must
         keep, and future checks assert them against its durable state.
         """
         src = self._oracle_for(src_host)
         dst = self._oracle_for(dst_host)
         image = src._images.pop(ino, None)
-        mask = src._acked.pop(ino, None)
+        runs = src._acked.pop(ino, None)
         pending = src._pending.pop(ino, None)
         if image is not None:
             dst._images[ino] = image
-        if mask is not None:
-            dst._acked[ino] = mask
+        if runs is not None:
+            dst._acked[ino] = runs
         if pending:
             dst._pending.setdefault(ino, []).extend(pending)
 
@@ -111,8 +111,8 @@ class ClusterOracle:
         holders = []
         for host in sorted(self._per_shard):
             oracle = self._per_shard[host]
-            mask = oracle._acked.get(ino)
-            if (mask is not None and any(mask)) or oracle._pending.get(ino):
+            runs = oracle._acked.get(ino)
+            if (runs is not None and runs.total()) or oracle._pending.get(ino):
                 holders.append(host)
         return holders
 

@@ -49,6 +49,10 @@ class UncommittedTracker:
         #: fhandle -> list of [offset, data, verifier] (mutable rows so a
         #: discharge can drop exactly the rows a COMMIT snapshot covered).
         self._ranges: Dict[object, List[list]] = {}
+        #: verifier -> rows tagged with it, across every file: when one
+        #: verifier tags them all, no file is stale (checked per reply).
+        self._rows_by_verifier: Dict[int, int] = {}
+        self._row_total = 0
         #: fhandle -> Event: a COMMIT train is running for the file;
         #: concurrent committers wait on it instead of doubling up.
         self._inflight: Dict[object, Event] = {}
@@ -63,6 +67,8 @@ class UncommittedTracker:
     def record(self, fhandle, offset: int, data, verifier: int) -> None:
         """An unstable WRITE was acked under ``verifier``: hold the range."""
         self._ranges.setdefault(fhandle, []).append([offset, data, verifier])
+        self._rows_by_verifier[verifier] = self._rows_by_verifier.get(verifier, 0) + 1
+        self._row_total += 1
 
     def ranges(self, fhandle) -> List[tuple]:
         """The file's uncommitted ``(offset, data)`` pairs (test surface)."""
@@ -80,6 +86,8 @@ class UncommittedTracker:
 
     def stale_files(self, verifier: int) -> List[object]:
         """Files holding ranges written under a different verifier."""
+        if self._rows_by_verifier.get(verifier, 0) == self._row_total:
+            return []
         return [
             fhandle
             for fhandle, rows in self._ranges.items()
@@ -132,13 +140,7 @@ class UncommittedTracker:
                     return
                 # The server lost an incarnation under us; replay.
                 self.ranges_replayed.add(len(snapshot))
-                ids = {id(row) for row in snapshot}
-                kept = [
-                    row
-                    for row in self._ranges.get(fhandle, [])
-                    if id(row) not in ids
-                ]
-                self._ranges[fhandle] = kept
+                self._ranges[fhandle] = self._release(fhandle, snapshot)
                 for offset, data, _v in snapshot:
                     yield from self.client._replay_write(fhandle, offset, data)
             raise NfsError("EIO")
@@ -149,8 +151,7 @@ class UncommittedTracker:
     def _discharge(self, fhandle, snapshot: List[list]) -> None:
         """A COMMIT under the right verifier succeeded: the covered
         ranges are durable — release them and tell the oracle hook."""
-        ids = {id(row) for row in snapshot}
-        kept = [row for row in self._ranges.get(fhandle, []) if id(row) not in ids]
+        kept = self._release(fhandle, snapshot)
         if kept:
             self._ranges[fhandle] = kept
         else:
@@ -159,6 +160,19 @@ class UncommittedTracker:
         if hook is not None:
             for offset, data, _v in snapshot:
                 hook(fhandle, offset, data)
+
+    def _release(self, fhandle, snapshot: List[list]) -> List[list]:
+        """Uncount the file's rows that ``snapshot`` covered; returns the
+        rows it did not cover, in order."""
+        ids = {id(row) for row in snapshot}
+        kept = []
+        for row in self._ranges.get(fhandle, []):
+            if id(row) in ids:
+                self._rows_by_verifier[row[2]] -= 1
+                self._row_total -= 1
+            else:
+                kept.append(row)
+        return kept
 
     def commit_all(self) -> Generator:
         """COMMIT every file with uncommitted ranges (quiesce helper)."""

@@ -1,10 +1,13 @@
 """The crash-consistency oracle: acked ⇒ durable, and no structural damage.
 
 The oracle shadows every *stable* WRITE acknowledgement a client receives
-(via :attr:`NfsClient.on_write_acked`) into a per-inode expected byte
-image.  At every check point — the instant of each simulated crash, and
-once at the end of the run — it asserts the paper's crash contract against
-the server's durable image:
+(via :attr:`NfsClient.on_write_acked`) into a per-inode :class:`AckedRuns`
+run list — sorted ``(start, end, flag)`` extents, neighbours with the same
+flag merged — plus an expected byte image that grows only for writes that
+carried real bytes.  Flyweight acks therefore cost O(extents), not
+O(bytes), in memory and at every check.  At every check point — the
+instant of each simulated crash, and once at the end of the run — it
+asserts the paper's crash contract against the server's durable image:
 
 1. **Durability**: every acked byte range is durably readable
    (:meth:`Ufs.durable_read` returns actual bytes, not None);
@@ -18,11 +21,111 @@ chaos campaign's report pinpoints exactly which promise broke and when.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Tuple
 
 from repro.fs.fsck import fsck
 
-__all__ = ["Oracle"]
+__all__ = ["AckedRuns", "Oracle"]
+
+#: Run flags: acked with known content (the check byte-compares), and
+#: acked via a flyweight payload (only the range's durability is promised).
+CONTENT = 1
+FLYWEIGHT = 2
+
+
+class AckedRuns:
+    """Which bytes of one inode have been acked, as a sorted run list.
+
+    Equivalent to a per-byte mask indexed from byte 0 — flag 0 for never
+    acked, :data:`CONTENT` or :data:`FLYWEIGHT` otherwise — but stored as
+    non-overlapping ``(start, end, flag)`` runs of nonzero flag, with
+    touching runs of the same flag merged.  A sequential stream of acks
+    stays one run however many bytes it covers.  ``len()`` is the mask's
+    length (the highest acked end, cut back by truncation) and ``del
+    runs[n:]`` truncates, exactly as on the ``bytearray`` it replaces.
+    """
+
+    __slots__ = ("_runs", "_length")
+
+    def __init__(self) -> None:
+        self._runs: List[Tuple[int, int, int]] = []
+        self._length = 0
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __delitem__(self, key) -> None:
+        if not (isinstance(key, slice) and key.stop is None and key.step is None):
+            raise TypeError("AckedRuns only supports truncation: del runs[n:]")
+        size = max(0, key.start or 0)
+        runs = self._runs
+        del runs[bisect_left(runs, (size,)) :]
+        if runs and runs[-1][1] > size:
+            start, _end, flag = runs[-1]
+            runs[-1] = (start, size, flag)
+        self._length = min(self._length, size)
+
+    def mark(self, start: int, end: int, flag: int) -> None:
+        """Set bytes [start, end) to ``flag`` (the latest ack wins)."""
+        if end > self._length:
+            self._length = end
+        if end <= start:
+            return
+        runs = self._runs
+        if not runs or runs[-1][1] < start:
+            runs.append((start, end, flag))
+            return
+        last_start, last_end, last_flag = runs[-1]
+        if last_end == start and last_flag == flag:
+            runs[-1] = (last_start, end, flag)  # the sequential-stream case
+            return
+        # Runs [lo, hi) overlap or touch [start, end].
+        lo = bisect_left(runs, (start,))
+        if lo and runs[lo - 1][1] >= start:
+            lo -= 1
+        hi = bisect_right(runs, (end, float("inf")))
+        pieces = []
+        if lo < hi and runs[lo][0] < start:
+            pieces.append((runs[lo][0], start, runs[lo][2]))
+        pieces.append((start, end, flag))
+        if lo < hi and runs[hi - 1][1] > end:
+            pieces.append((end, runs[hi - 1][1], runs[hi - 1][2]))
+        merged = [pieces[0]]
+        for piece in pieces[1:]:
+            if piece[2] == merged[-1][2]:
+                merged[-1] = (merged[-1][0], piece[1], piece[2])
+            else:
+                merged.append(piece)
+        runs[lo:hi] = merged
+
+    def acked_runs(self) -> List[Tuple[int, int]]:
+        """Maximal contiguous acked ranges, whatever their flags."""
+        out: List[Tuple[int, int]] = []
+        for start, end, _flag in self._runs:
+            if out and out[-1][1] == start:
+                out[-1] = (out[-1][0], end)
+            else:
+                out.append((start, end))
+        return out
+
+    def content_runs(self, start: int, end: int) -> List[Tuple[int, int]]:
+        """Maximal sub-ranges of [start, end) acked with :data:`CONTENT`."""
+        runs = self._runs
+        index = bisect_left(runs, (start,))
+        if index and runs[index - 1][1] > start:
+            index -= 1
+        out: List[Tuple[int, int]] = []
+        while index < len(runs) and runs[index][0] < end:
+            run_start, run_end, flag = runs[index]
+            if flag == CONTENT:
+                out.append((max(run_start, start), min(run_end, end)))
+            index += 1
+        return out
+
+    def total(self) -> int:
+        """Acked bytes, whatever their flags."""
+        return sum(end - start for start, end, _flag in self._runs)
 
 
 class Oracle:
@@ -39,16 +142,16 @@ class Oracle:
         self.testbed = testbed
         self.env = env if env is not None else testbed.env
         self.server = server if server is not None else testbed.server
-        #: Per-ino expected content, densely indexed from byte 0.
+        #: Per-ino expected content, indexed from byte 0.  It grows only
+        #: as far as the last write that carried bytes: flyweight acks
+        #: promise no content, so they leave it untouched.
         self._images: Dict[int, bytearray] = {}
-        #: Per-ino mask of which bytes have actually been acked (an image
-        #: may have unwritten gaps that carry no promise).  Flag values:
-        #: 0 = never acked, 1 = acked with known content (byte compare),
-        #: 2 = acked via a flyweight payload (content unknown — only the
-        #: range's durability is promised).  Both nonzero flags count
-        #: identically toward acked runs and byte totals, so accounting is
-        #: mode-independent.
-        self._acked: Dict[int, bytearray] = {}
+        #: Per-ino acked ranges (an image may have unwritten gaps that
+        #: carry no promise): :data:`CONTENT` runs are byte-compared,
+        #: :data:`FLYWEIGHT` runs only promise durability.  Both flags
+        #: count identically toward acked runs and byte totals, so
+        #: accounting is mode-independent.
+        self._acked: Dict[int, AckedRuns] = {}
         self.acked_writes = 0
         #: Async-commit bookkeeping: unstable acks carry *no* durability
         #: promise — the range sits here until a COMMIT under the right
@@ -94,17 +197,18 @@ class Oracle:
         ino = fhandle[0]
         end = offset + len(data)
         image = self._images.setdefault(ino, bytearray())
-        mask = self._acked.setdefault(ino, bytearray())
-        if len(image) < end:
-            image.extend(b"\x00" * (end - len(image)))
-            mask.extend(b"\x00" * (end - len(mask)))
+        runs = self._acked.get(ino)
+        if runs is None:
+            runs = self._acked[ino] = AckedRuns()
         if isinstance(data, (bytes, bytearray, memoryview)):
+            if len(image) < end:
+                image.extend(bytes(end - len(image)))
             image[offset:end] = data
-            mask[offset:end] = b"\x01" * len(data)
+            runs.mark(offset, end, CONTENT)
         else:
             # Flyweight payload: the range is promised durable, its
-            # content is not — flag 2 so checks skip the byte compare.
-            mask[offset:end] = b"\x02" * len(data)
+            # content is not, so checks skip the byte compare.
+            runs.mark(offset, end, FLYWEIGHT)
         self.acked_writes += 1
 
     def record_unstable(self, fhandle, offset: int, data) -> None:
@@ -144,15 +248,15 @@ class Oracle:
             return
         ino = fhandle[0]
         image = self._images.get(ino)
-        mask = self._acked.get(ino)
-        if image is None or mask is None:
+        runs = self._acked.get(ino)
+        if image is None or runs is None:
             return
-        upper = min(offset + len(data), len(mask))
+        upper = min(offset + len(data), len(runs))
         if upper <= offset:
             return
         now = self.env.now
         suffix = self._context_suffix()
-        for sub_start, sub_end in self._content_runs(mask, offset, upper):
+        for sub_start, sub_end in runs.content_runs(offset, upper):
             got = bytes(data[sub_start - offset : sub_end - offset])
             want = bytes(image[sub_start:sub_end])
             if got != want:
@@ -205,35 +309,7 @@ class Oracle:
 
     def _acked_runs(self, ino: int) -> List[Tuple[int, int]]:
         """Maximal contiguous byte ranges of ``ino`` covered by acks."""
-        mask = self._acked[ino]
-        runs: List[Tuple[int, int]] = []
-        start = None
-        for position, flag in enumerate(mask):
-            if flag and start is None:
-                start = position
-            elif not flag and start is not None:
-                runs.append((start, position))
-                start = None
-        if start is not None:
-            runs.append((start, len(mask)))
-        return runs
-
-    @staticmethod
-    def _content_runs(mask: bytearray, start: int, end: int) -> List[Tuple[int, int]]:
-        """Sub-runs of [start, end) whose bytes were acked *with content*
-        (flag 1); flyweight-acked bytes (flag 2) carry no content promise."""
-        runs: List[Tuple[int, int]] = []
-        run_start = None
-        for position in range(start, end):
-            if mask[position] == 1:
-                if run_start is None:
-                    run_start = position
-            elif run_start is not None:
-                runs.append((run_start, position))
-                run_start = None
-        if run_start is not None:
-            runs.append((run_start, end))
-        return runs
+        return self._acked[ino].acked_runs()
 
     def acked_inos(self) -> List[int]:
         """Inodes with at least one acked write (sorted)."""
@@ -246,7 +322,7 @@ class Oracle:
         *promised* (acked stably), not merely work clients offered —
         retransmitted duplicates and timed-out attempts never count.
         """
-        return sum(sum(1 for flag in mask if flag) for mask in self._acked.values())
+        return sum(runs.total() for runs in self._acked.values())
 
     # -- checking ---------------------------------------------------------------
 
@@ -257,9 +333,9 @@ class Oracle:
         ufs = self.server.ufs
         for ino in sorted(self._images):
             image = self._images[ino]
-            mask = self._acked[ino]
-            for start, end in self._acked_runs(ino):
-                content_runs = self._content_runs(mask, start, end)
+            runs = self._acked[ino]
+            for start, end in runs.acked_runs():
+                content_runs = runs.content_runs(start, end)
                 if not content_runs:
                     # Flyweight-only run: reachability is the whole promise.
                     if not ufs.durable_covered(ino, start, end - start):
@@ -314,9 +390,9 @@ class Oracle:
         now = self.env.now
         for ino in sorted(self._images):
             image = self._images[ino]
-            mask = self._acked[ino]
-            for start, end in self._acked_runs(ino):
-                content_runs = self._content_runs(mask, start, end)
+            runs = self._acked[ino]
+            for start, end in runs.acked_runs():
+                content_runs = runs.content_runs(start, end)
                 if not content_runs:
                     satisfied = any(
                         ufs.durable_covered(ino, start, end - start)
@@ -350,7 +426,7 @@ class Oracle:
         ufs, ino: int, image: bytearray, start: int, end: int, content_runs
     ) -> bool:
         """Does one replica hold [start, end) durably, with the acked
-        content wherever content was promised (flag-1 sub-runs)?"""
+        content wherever content was promised (the CONTENT sub-runs)?"""
         durable = ufs.durable_read(ino, start, end - start)
         if durable is None:
             return False

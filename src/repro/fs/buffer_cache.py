@@ -28,23 +28,37 @@ __all__ = ["Buffer", "BufferCache", "DurableImage", "FlushRun"]
 
 
 class Buffer:
-    """One cached disk block."""
+    """One cached disk block.
 
-    __slots__ = ("addr", "size", "data", "dirty", "version", "last_use", "lite")
+    A buffer is *lite* while it has only ever seen flyweight writes: its
+    content is all zeros, so it holds no bytearray (``data`` is None) and
+    flush snapshots share one immutable zero block instead of copying 8K
+    per flush.  :meth:`writable` allocates the bytes on first need.
+    """
+
+    __slots__ = ("addr", "size", "data", "dirty", "version", "last_use")
 
     def __init__(self, addr: int, size: int) -> None:
         self.addr = addr
         self.size = size
-        self.data = bytearray(size)
+        self.data: Optional[bytearray] = None
         self.dirty = False
         #: Bumped on every modification; flush completions only clean the
         #: buffer if the version is unchanged since the snapshot.
         self.version = 0
         self.last_use = 0.0
-        #: True while the buffer has only ever seen flyweight writes (its
-        #: content is all zeros): flush snapshots then share one immutable
-        #: zero block instead of copying 8K per flush.
-        self.lite = True
+
+    def writable(self) -> bytearray:
+        """The buffer's bytes, zero-filled on first use."""
+        if self.data is None:
+            self.data = bytearray(self.size)
+        return self.data
+
+    def read(self, start: int, end: int) -> bytes:
+        """Bytes [start, end) of the block (zeros while lite)."""
+        if self.data is None:
+            return bytes(end - start)
+        return bytes(self.data[start:end])
 
 
 _ZERO_BLOCKS: Dict[int, bytes] = {}
@@ -172,7 +186,7 @@ class FlushRun:
         self.snapshots = [
             (
                 buffer,
-                _zero_block(buffer.size) if buffer.lite else bytes(buffer.data),
+                _zero_block(buffer.size) if buffer.data is None else bytes(buffer.data),
                 buffer.version,
             )
             for buffer in self.buffers
@@ -231,9 +245,10 @@ class BufferCache:
             # bytes into the cache (raises CorruptBlockError on mismatch).
             self.durable.verify_block(addr)
             durable = self.durable.blocks.get(addr)
-            if durable is not None:
-                buffer.data[:] = durable
-                buffer.lite = False
+            if durable is not None and durable is not _ZERO_BLOCKS.get(len(durable)):
+                # The shared zero block is a lite flush's snapshot: the
+                # buffer it faults into stays lite.
+                buffer.data = bytearray(durable)
             buffer.last_use = self.env.now
             self._buffers[addr] = buffer
             self._evict_if_needed()

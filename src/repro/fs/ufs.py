@@ -237,9 +237,8 @@ class Ufs:
                 grew_structure = True
             buffer = self._get_buffer_checked(addr)
             if not flyweight:
-                buffer.data[within : within + take] = remaining[:take]
+                buffer.writable()[within : within + take] = remaining[:take]
                 remaining = remaining[take:]
-                buffer.lite = False
             self.cache.mark_dirty(buffer)
             touched.append(addr)
             pos += take
@@ -460,7 +459,7 @@ class Ufs:
                         self.cache.durable.quarantine(addr, "latent")
                         raise FsError("EIO", f"latent sector error at addr={addr}")
                     buffer = self._get_buffer_checked(addr)
-                out.extend(buffer.data[within : within + take])
+                out.extend(buffer.read(within, within + take))
             pos += take
         inode.atime = self.env.now
         return bytes(out)

@@ -347,7 +347,7 @@ class ShardMigrator:
             if addr is not None:
                 buffer = ufs.cache.lookup(addr)
                 if buffer is not None:
-                    chunk = bytes(buffer.data[within : within + take])
+                    chunk = buffer.read(within, within + take)
             if chunk is None:
                 durable = ufs.durable_read(inode.ino, pos, take)
                 chunk = durable if durable is not None else b"\x00" * take
