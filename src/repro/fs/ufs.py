@@ -103,6 +103,7 @@ class Ufs:
         self.block_size = block_size
         self.cluster_size = cluster_size
         self.cpu = cpu
+        self._uncharged = Event(env)._finish_now()
         self.costs = costs or CostModel()
         self.allocator = Allocator(fs_bytes, block_size)
         self.cache = BufferCache(env, storage, block_size, cluster_size, cache_blocks)
@@ -133,11 +134,14 @@ class Ufs:
         """Whether the backing storage is NVRAM-accelerated (Presto on)."""
         return bool(getattr(self.storage, "is_accelerated", False))
 
-    def _charge(self, seconds: float) -> Generator:
-        """Charge CPU time if an accountant is attached."""
-        if self.cpu is not None and seconds > 0:
-            yield from self.cpu.consume(seconds)
+    def _charge(self, seconds: float) -> Event:
+        """Charge CPU time if an accountant is attached; yield the result.
 
+        Without an accountant the returned event is already processed.
+        """
+        if self.cpu is None:
+            return self._uncharged
+        return self.cpu.consume(seconds)
 
     def _device_trip_cost(self) -> float:
         """CPU cost of handing one transaction to the storage driver."""
@@ -214,7 +218,7 @@ class Ufs:
             raise FsError("EISDIR", f"write to non-file inode {inode.ino}")
         if offset < 0 or not data:
             raise FsError("EINVAL", f"bad write range ({offset}, {len(data)})")
-        yield from self._charge(
+        yield self._charge(
             self.costs.ufs_trip + self.costs.copy_per_byte * len(data)
         )
 
@@ -320,7 +324,7 @@ class Ufs:
         runs = self.cache.plan_runs(addrs)
         if not runs:
             return 0
-        yield from self._charge(self._device_trip_cost() * len(runs))
+        yield self._charge(self._device_trip_cost() * len(runs))
         events = self.cache.flush_runs_async(runs, kind="data")
         self._register_flush_events(inode.ino, events)
         if events:
@@ -350,14 +354,14 @@ class Ufs:
         transfers, and wait out any overlapping async cluster writes.
 
         Returns the number of device transactions issued by this call."""
-        yield from self._charge(self.costs.ufs_trip)
+        yield self._charge(self.costs.ufs_trip)
         if end is None:
             end = inode.size
         addrs = self._file_extent_addrs(inode, start, end)
         runs = self.cache.plan_runs(addrs)
         transactions = len(runs)
         if runs:
-            yield from self._charge(self._device_trip_cost() * transactions)
+            yield self._charge(self._device_trip_cost() * transactions)
             yield from self.cache.flush_runs(runs, kind="data")
         pending = list(self._in_flight_data.get(inode.ino, ()))
         if pending:
@@ -369,13 +373,13 @@ class Ufs:
         paper), flushes just the indirect and inode blocks.
 
         Returns the number of device transactions issued."""
-        yield from self._charge(self.costs.ufs_trip)
+        yield self._charge(self.costs.ufs_trip)
         transactions = 0
         if not metadata_only:
             addrs = self._file_extent_addrs(inode, 0, max(inode.size, 1))
             runs = self.cache.plan_runs(addrs)
             if runs:
-                yield from self._charge(self._device_trip_cost() * len(runs))
+                yield self._charge(self._device_trip_cost() * len(runs))
                 yield from self.cache.flush_runs(runs, kind="data")
                 transactions += len(runs)
             pending = list(self._in_flight_data.get(inode.ino, ()))
@@ -388,7 +392,7 @@ class Ufs:
         return transactions
 
     def _write_inode_sync(self, inode: Inode) -> Generator:
-        yield from self._charge(self._device_trip_cost())
+        yield self._charge(self._device_trip_cost())
         snapshot = inode.snapshot()
         version = inode.meta_version
         done = self.storage.submit(
@@ -409,7 +413,7 @@ class Ufs:
     def _write_indirect_sync(self, inode: Inode) -> Generator:
         if inode.indirect_addr is None:
             return 0
-        yield from self._charge(self._device_trip_cost())
+        yield self._charge(self._device_trip_cost())
         mapping = dict(inode.indirect)
         version = inode.meta_version
         done = self.storage.submit(
@@ -434,9 +438,9 @@ class Ufs:
             raise FsError("EINVAL", f"bad read range ({offset}, {nbytes})")
         end = min(offset + nbytes, inode.size)
         if end <= offset:
-            yield from self._charge(self.costs.ufs_trip)
+            yield self._charge(self.costs.ufs_trip)
             return b""
-        yield from self._charge(
+        yield self._charge(
             self.costs.ufs_trip + self.costs.copy_per_byte * (end - offset)
         )
         out = bytearray()
@@ -451,7 +455,7 @@ class Ufs:
             else:
                 buffer = self.cache.lookup(addr)
                 if buffer is None:
-                    yield from self._charge(self._device_trip_cost())
+                    yield self._charge(self._device_trip_cost())
                     yield self.storage.submit(addr, self.block_size, is_write=False, kind="data")
                     if self.storage.latent_overlap(addr, self.block_size):
                         # The medium failed the read: surface EIO, leave a
@@ -470,7 +474,7 @@ class Ufs:
         """Directory lookup (namei cache: CPU cost only)."""
         if directory.ftype != FileType.DIRECTORY:
             raise FsError("ENOTDIR", f"inode {directory.ino} is not a directory")
-        yield from self._charge(self.costs.namei)
+        yield self._charge(self.costs.namei)
         ino = directory.entries.get(name)
         if ino is None:
             raise FsError("ENOENT", name)
@@ -491,7 +495,7 @@ class Ufs:
             raise FsError("ENOTDIR", f"inode {directory.ino} is not a directory")
         if name in directory.entries:
             raise FsError("EEXIST", name)
-        yield from self._charge(self.costs.ufs_trip + self.costs.namei)
+        yield self._charge(self.costs.ufs_trip + self.costs.namei)
         inode = self._new_inode(ftype, ino=ino)
         directory.entries[name] = inode.ino
         directory.mtime = self.env.now
@@ -520,7 +524,7 @@ class Ufs:
             raise FsError("EEXIST", name)
         if ino in self.inodes:
             raise FsError("EEXIST", f"inode {ino} already exists")
-        yield from self._charge(self.costs.ufs_trip + self.costs.namei)
+        yield self._charge(self.costs.ufs_trip + self.costs.namei)
         saved_next = self._next_ino
         inode = self._new_inode(FileType.FILE, ino=ino)
         self._next_ino = saved_next
@@ -541,7 +545,7 @@ class Ufs:
         ino = directory.entries.get(name)
         if ino is None:
             raise FsError("ENOENT", name)
-        yield from self._charge(self.costs.ufs_trip + self.costs.namei)
+        yield self._charge(self.costs.ufs_trip + self.costs.namei)
         inode = self.inodes[ino]
         del directory.entries[name]
         directory.mtime = self.env.now
@@ -561,7 +565,7 @@ class Ufs:
     def readdir(self, directory: Inode) -> Generator:
         if directory.ftype != FileType.DIRECTORY:
             raise FsError("ENOTDIR", f"inode {directory.ino} is not a directory")
-        yield from self._charge(self.costs.namei)
+        yield self._charge(self.costs.namei)
         return sorted(directory.entries)
 
     def symlink(
@@ -579,7 +583,7 @@ class Ufs:
     def readlink(self, inode: Inode) -> Generator:
         if inode.ftype != FileType.SYMLINK:
             raise FsError("EINVAL", f"inode {inode.ino} is not a symlink")
-        yield from self._charge(self.costs.namei)
+        yield self._charge(self.costs.namei)
         return inode.symlink_target
 
     def rename(self, src_dir: Inode, src_name: str, dst_dir: Inode, dst_name: str) -> Generator:
@@ -591,7 +595,7 @@ class Ufs:
         ino = src_dir.entries.get(src_name)
         if ino is None:
             raise FsError("ENOENT", src_name)
-        yield from self._charge(self.costs.ufs_trip + 2 * self.costs.namei)
+        yield self._charge(self.costs.ufs_trip + 2 * self.costs.namei)
         if dst_name in dst_dir.entries and dst_dir.entries[dst_name] != ino:
             yield from self.remove(dst_dir, dst_name)
         del src_dir.entries[src_name]
@@ -611,7 +615,7 @@ class Ufs:
         """Flush everything dirty (the update(8) daemon's job)."""
         runs = self.cache.plan_runs(self.cache.dirty_addrs())
         if runs:
-            yield from self._charge(self._device_trip_cost() * len(runs))
+            yield self._charge(self._device_trip_cost() * len(runs))
             yield from self.cache.flush_runs(runs, kind="data")
         for inode in list(self.inodes.values()):
             if inode.indirect_dirty:

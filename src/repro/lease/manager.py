@@ -302,11 +302,11 @@ class LeaseManager:
             if remaining > 0:
                 wait = Event(self.env)
 
-                def _first(_event: Event, w: Event = wait) -> None:
+                def _first(_event: object, w: Event = wait) -> None:
                     if not w.triggered:
                         w.succeed()
 
-                self.env.timeout(remaining).callbacks.append(_first)
+                self.env.call_later(remaining, _first)
                 ack.callbacks.append(_first)
                 yield wait
             if not ack.triggered:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Callable, Deque, Dict, Set
+from typing import Deque, Dict, Set
 
 from repro.net.packet import Datagram
 from repro.net.spec import NetSpec
@@ -41,9 +41,9 @@ __all__ = ["Segment"]
 class _Nic:
     """One host's transmit side: its datagram queue and the frame in flight."""
 
-    __slots__ = ("queue", "frame", "lost", "held_at", "wire_bytes", "end_frame")
+    __slots__ = ("queue", "frame", "lost", "held_at", "wire_bytes")
 
-    def __init__(self, segment: "Segment") -> None:
+    def __init__(self) -> None:
         #: Datagrams to send, in order; the head is the one being sent.
         self.queue: Deque[Datagram] = deque()
         #: Index of the head datagram's next (or current) frame.
@@ -52,8 +52,6 @@ class _Nic:
         self.lost = False
         self.held_at = 0.0
         self.wire_bytes = 0
-        #: Callback for this host's frame timeouts (made once, not per frame).
-        self.end_frame: Callable[[object], None] = lambda _event: segment._end_frame(self)
 
 
 class Segment:
@@ -105,7 +103,7 @@ class Segment:
             raise ValueError(f"host {host!r} already attached to {self.name}")
         endpoint = UdpEndpoint(self.env, host, self, buffer_bytes)
         self._endpoints[host] = endpoint
-        self._nics[host] = _Nic(self)
+        self._nics[host] = _Nic()
         return endpoint
 
     def endpoint(self, host: str) -> UdpEndpoint:
@@ -192,8 +190,8 @@ class Segment:
         nic.wire_bytes = payload + self.spec.frame_overhead
         nic.held_at = self.env.now
         self.utilization.begin()
-        self.env.timeout(nic.wire_bytes * 8.0 / self.spec.bandwidth_bps).callbacks.append(
-            nic.end_frame
+        self.env.call_later(
+            nic.wire_bytes * 8.0 / self.spec.bandwidth_bps, self._end_frame, nic
         )
 
     def _end_frame(self, nic: _Nic) -> None:
@@ -238,9 +236,9 @@ class Segment:
     def _schedule_delivery(self, datagram: Datagram, lost: bool) -> None:
         """Arrange for ``datagram`` to arrive ``latency`` from now.
 
-        Delivery is a plain callback on a timeout — not a process — so the
-        per-datagram cost is one heap event instead of a full process
-        lifecycle (spawn, initialize, resume, finish).
+        Delivery is a timer entry — not a process — so the per-datagram
+        cost is one heap entry instead of a full process lifecycle (spawn,
+        initialize, resume, finish).
         """
         # Fault knobs draw from the RNG only while nonzero, so fault-free
         # runs consume the identical random stream they always did.
@@ -252,23 +250,18 @@ class Segment:
                 self.reordered.add(1)
             if self.duplicate_rate and self._rng.random() < self.duplicate_rate:
                 duplicated = True
-        timer = self.env.timeout(self.spec.latency + extra_delay)
+        delay = self.spec.latency + extra_delay
         if lost:
-            timer.callbacks.append(lambda _ev: self.lost.add(1))
+            self.env.call_later(delay, self.lost.add, 1)
         elif duplicated:
-            timer.callbacks.append(
-                lambda _ev, d=datagram: self._arrive_with_duplicate(d)
-            )
+            self.env.call_later(delay, self._arrive_with_duplicate, datagram)
         else:
-            timer.callbacks.append(lambda _ev, d=datagram: self._arrive(d))
+            self.env.call_later(delay, self._arrive, datagram)
 
     def _arrive_with_duplicate(self, datagram: Datagram) -> None:
         self._arrive(datagram)
         self.duplicated.add(1)
-        timer = self.env.timeout(self.spec.latency)
-        timer.callbacks.append(
-            lambda _ev, d=self._clone(datagram): self._arrive(d)
-        )
+        self.env.call_later(self.spec.latency, self._arrive, self._clone(datagram))
 
     def _arrive(self, datagram: Datagram) -> None:
         if datagram.src in self._partitioned or datagram.dst in self._partitioned:

@@ -220,17 +220,20 @@ class PrestoCache(Storage):
     def _copy(
         self, done: Event, offset: int, nbytes: int, kind: str, accepted_at: float
     ) -> None:
-        """Copy a reserved write into NVRAM: one timer, whose callback
+        """Copy a reserved write into NVRAM: one timer entry, whose callback
         completes the write and wakes its waiter inline."""
-        timer = self.env.timeout(self.copy_overhead + nbytes / self.copy_rate)
-        timer.callbacks.append(
-            lambda _ev: self._finish_accept(done, offset, nbytes, kind, accepted_at)
+        self.env.call_later(
+            self.copy_overhead + nbytes / self.copy_rate,
+            self._finish_accept,
+            (done, offset, nbytes, kind, accepted_at),
         )
 
-    def _finish_accept(
-        self, done: Event, offset: int, nbytes: int, kind: str, accepted_at: float
-    ) -> None:
-        """Complete an accepted write once its NVRAM copy time has elapsed."""
+    def _finish_accept(self, copy: Tuple[Event, int, int, str, float]) -> None:
+        """Complete an accepted write once its NVRAM copy time has elapsed.
+
+        ``copy`` is ``(done, offset, nbytes, kind, accepted_at)``.
+        """
+        done, offset, nbytes, kind, accepted_at = copy
         if self.obs.enabled:
             self.obs.emit(
                 PHASE_NVRAM_COPY,

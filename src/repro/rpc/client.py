@@ -51,6 +51,12 @@ def retransmit_jitter(seed: int, host: str, xid: int, attempt: int, spread: floa
     return 1.0 + rng.uniform(-spread, spread)
 
 
+def _expire(wait: Event) -> None:
+    """An attempt's timer ran out: wake the caller unless the reply did."""
+    if not wait.triggered:
+        wait.fire()
+
+
 class RpcTimeoutError(Exception):
     """A call exhausted its retry budget (soft-mount ``ETIMEDOUT``)."""
 
@@ -245,9 +251,7 @@ class RpcClient:
                 # finds it triggered and does nothing.
                 wait = Event(self.env)
                 self._pending[xid] = wait
-                self.env.timeout(interval).callbacks.append(
-                    lambda _event, w=wait: w.triggered or w.fire()
-                )
+                self.env.call_later(interval, _expire, wait)
                 reply = yield wait
                 if reply is not None:
                     break

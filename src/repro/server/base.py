@@ -248,7 +248,7 @@ class NfsServer:
             self.svc.dup_cache.forget(handle.call)
             self.svc.abandon(handle)
             return
-        yield from self.cpu.consume(
+        yield self.cpu.consume(
             (self.config.reply_cpu + self.spec.cpu_per_frame) * self.config.cpu_scale
         )
         proc = handle.call.proc
@@ -302,7 +302,7 @@ class NfsServer:
             handle = yield from self.svc.next_request()
             datagram = handle.datagram
             decode_started = self.env.now
-            yield from self.cpu.consume(
+            yield self.cpu.consume(
                 (
                     self.config.rpc_dispatch_cpu
                     + datagram.fragments * self.spec.cpu_per_frame
@@ -385,7 +385,7 @@ class NfsServer:
 
     def _rfs_getattr(self, fhandle) -> Generator:
         vnode = self.vnodes.by_fhandle(fhandle)
-        yield from self.cpu.consume(0.0001)
+        yield self.cpu.consume(0.0001)
         return Fattr.from_inode(vnode.inode), RPC_HEADER_BYTES
 
     def _rfs_setattr(self, args) -> Generator:
@@ -546,18 +546,18 @@ class NfsServer:
         """The MOUNT protocol: hand out the root file handle for an
         exported path.  (mountd is a separate service in reality; it shares
         the endpoint here but keeps its own semantics.)"""
-        yield from self.cpu.consume(0.0001)
+        yield self.cpu.consume(0.0001)
         if path not in self.config.exports:
             raise FsError("EACCES", f"{path} is not exported")
         root = self.vnodes.root
         return (root.fhandle, Fattr.from_inode(root.inode)), RPC_HEADER_BYTES
 
     def _mountd_umount(self, _path) -> Generator:
-        yield from self.cpu.consume(0.0001)
+        yield self.cpu.consume(0.0001)
         return None, RPC_HEADER_BYTES
 
     def _rfs_statfs(self, _args) -> Generator:
-        yield from self.cpu.consume(0.0001)
+        yield self.cpu.consume(0.0001)
         return (
             {
                 "blocks": self.config.fs_bytes // self.config.block_size,

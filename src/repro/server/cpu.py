@@ -9,7 +9,7 @@ and CPU contention naturally degrades service when the server saturates.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generator, Tuple
+from typing import Deque, Tuple
 
 from repro.sim import Environment, Event, UtilizationMeter
 
@@ -19,7 +19,7 @@ __all__ = ["Cpu"]
 class Cpu:
     """A (possibly multi-core) CPU shared by all server work.
 
-    A FIFO pool of cores driven by callbacks: each hold is one timeout
+    A FIFO pool of cores driven by callbacks: each hold is one timer entry
     whose callback frees the core, starts the next queued hold on it and
     resumes the holder — no request or grant events.
     """
@@ -33,24 +33,29 @@ class Cpu:
         self._busy = 0
         #: Holds waiting for a core, as (seconds, holder's wakeup).
         self._queue: Deque[Tuple[float, Event]] = deque()
+        #: What a hold of no time returns: already processed, so the
+        #: yielding process continues without a scheduler round.
+        self._idle = Event(env)._finish_now()
 
-    def consume(self, seconds: float) -> Generator:
-        """Hold one core for ``seconds`` of work."""
+    def consume(self, seconds: float) -> Event:
+        """Hold one core for ``seconds`` of work; yield the returned event.
+
+        It fires once the work is done (for ``seconds <= 0`` it is already
+        processed).
+        """
         if seconds <= 0:
-            return
+            return self._idle
         wakeup = Event(self.env)
         if self._busy < self.cores:
             self._start(seconds, wakeup)
         else:
             self._queue.append((seconds, wakeup))
-        yield wakeup
+        return wakeup
 
     def _start(self, seconds: float, wakeup: Event) -> None:
         self._busy += 1
         self.meter.begin()
-        self.env.timeout(seconds).callbacks.append(
-            lambda _event: self._finish(wakeup)
-        )
+        self.env.call_later(seconds, self._finish, wakeup)
 
     def _finish(self, wakeup: Event) -> None:
         self.meter.end()

@@ -36,9 +36,19 @@ The kernel is the simulator's inner loop (one bench cell pops tens of
 thousands of events), so the representation is tuned:
 
 * every event class carries ``__slots__`` — no per-event ``__dict__``;
-* heap entries are ``(time, seq, event)`` 3-tuples where ``seq`` folds the
-  scheduling priority into the high bits of the insertion counter, so
-  same-instant ordering needs one integer compare instead of two;
+* heap entries are ``(time, seq, callback, arg)`` 4-tuples where ``seq``
+  folds the scheduling priority into the high bits of the insertion
+  counter, so same-instant ordering needs one integer compare instead of
+  two (``seq`` is unique, so the tuple compare never reaches ``callback``);
+* an ordinary event is pushed as ``(time, seq, None, event)`` and popped
+  through the generic path (run its callbacks, surface an unhandled
+  failure).  A *timer entry* — :meth:`Environment.call_later` — carries a
+  plain ``callback`` and its ``arg`` instead: the run loop calls
+  ``callback(arg)`` and allocates no event, callback list or closure.  A
+  process start is a timer entry too (``Process._resume`` with a
+  processed sentinel, at URGENT priority).  Timer entries take a ``seq``
+  from the same counter, so the pop order is the one the all-event
+  kernel had;
 * resources and stores may hand back *synchronously processed* events
   (``callbacks is None`` before ever touching the queue) for uncontended
   grants; :meth:`Process._resume` consumes those without a scheduler round;
@@ -46,16 +56,17 @@ thousands of events), so the representation is tuned:
   :meth:`Event.fire`, which runs its callbacks (and so resumes its waiter)
   at once instead of pushing it through the heap.
 
-Heap events are kept wherever they model something: a timeout (frame end,
-propagation, CPU hold, disk service, think time), or a same-instant hop
-that deliberately lets other work at that instant run first (a process
-start, a process end, a ``succeed()``).  :meth:`Event.fire` is reserved
-for hops that relay a wakeup from one callback to one waiter and so
-model nothing.  The rule that keeps this safe is **no nested resumes**:
-:meth:`Event.fire` raises :class:`SimError` while a process is being
-resumed, so a process is only ever resumed by the run loop or by a
-callback the run loop is running, never from inside another process's
-step.
+Heap entries are kept wherever they model something: a timeout (frame end,
+propagation, CPU hold, disk service, think time; a timer entry when a
+plain callback handles it, a :class:`Timeout` only when a process yields
+it), or a same-instant hop that deliberately lets other work at that
+instant run first (a process start, a process end, a ``succeed()``).
+:meth:`Event.fire` is reserved for hops that relay a wakeup from one
+callback to one waiter and so model nothing.  The rule that keeps this
+safe is **no nested resumes**: :meth:`Event.fire` raises
+:class:`SimError` while a process is being resumed, so a process is only
+ever resumed by the run loop or by a callback the run loop is running,
+never from inside another process's step.
 """
 
 from __future__ import annotations
@@ -155,7 +166,7 @@ class Event:
         self._value = value
         env = self.env
         env._eid += 1
-        heapq.heappush(env._queue, (env._now, _NORMAL_BIAS + env._eid, self))
+        heapq.heappush(env._queue, (env._now, _NORMAL_BIAS + env._eid, None, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -171,7 +182,7 @@ class Event:
         self._value = exception
         env = self.env
         env._eid += 1
-        heapq.heappush(env._queue, (env._now, _NORMAL_BIAS + env._eid, self))
+        heapq.heappush(env._queue, (env._now, _NORMAL_BIAS + env._eid, None, self))
         return self
 
     def fire(self, value: Any = None) -> "Event":
@@ -226,25 +237,15 @@ class Timeout(Event):
         self.defused = False
         self._delay = delay
         env._eid += 1
-        heapq.heappush(env._queue, (env._now + delay, _NORMAL_BIAS + env._eid, self))
+        heapq.heappush(env._queue, (env._now + delay, _NORMAL_BIAS + env._eid, None, self))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self._delay} at {id(self):#x}>"
 
 
-class Initialize(Event):
-    """Internal event used to start a freshly created process."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", process: "Process") -> None:
-        self.env = env
-        self._ok = True
-        self._value = None
-        self.defused = False
-        self.callbacks = [process._resume]
-        env._eid += 1
-        heapq.heappush(env._queue, (env._now, env._eid, self))
+#: What a process start resumes the generator with: a succeeded, processed
+#: event (``next(generator)``).  Never queued and never given callbacks.
+_STARTED = Event(None)._finish_now()
 
 
 class Process(Event):
@@ -254,7 +255,7 @@ class Process(Event):
     with any exception the generator does not handle.
     """
 
-    __slots__ = ("_generator", "name", "_target")
+    __slots__ = ("_generator", "name", "_target", "_wake")
 
     def __init__(self, env: "Environment", generator: Generator, name: str = "") -> None:
         if not hasattr(generator, "throw"):
@@ -265,7 +266,14 @@ class Process(Event):
         #: The event this process is currently waiting on (None if running
         #: or finished).  Inspected by interrupt() and by resources.
         self._target: Optional[Event] = None
-        Initialize(env, self)
+        #: ``self._resume``, bound once: every wait appends this callback.
+        #: A cycle back to the process, so it is dropped when the generator
+        #: exits.
+        self._wake = self._resume
+        # The start is a timer entry at URGENT priority, so a process
+        # started at ``now`` runs before the normal events queued at ``now``.
+        env._eid += 1
+        heapq.heappush(env._queue, (env._now, env._eid, self._wake, _STARTED))
 
     def __repr__(self) -> str:
         return f"<Process {self.name} at {id(self):#x}>"
@@ -299,10 +307,10 @@ class Process(Event):
         target = self._target
         if not target.processed and target.callbacks is not None:
             try:
-                target.callbacks.remove(self._resume)
+                target.callbacks.remove(self._wake)
             except ValueError:
                 pass
-        interrupt_event.callbacks = [self._resume]
+        interrupt_event.callbacks = [self._wake]
         self.env._schedule(interrupt_event, PRIORITY_URGENT, 0.0)
 
     # -- kernel internals ------------------------------------------------
@@ -323,14 +331,16 @@ class Process(Event):
             except StopIteration as exc:
                 self._ok = True
                 self._value = exc.value
+                self._wake = None  # break the self-cycle: free at refcount zero
                 env._eid += 1
-                heapq.heappush(env._queue, (env._now, _NORMAL_BIAS + env._eid, self))
+                heapq.heappush(env._queue, (env._now, _NORMAL_BIAS + env._eid, None, self))
                 break
             except BaseException as exc:
                 self._ok = False
                 self._value = exc
+                self._wake = None
                 env._eid += 1
-                heapq.heappush(env._queue, (env._now, _NORMAL_BIAS + env._eid, self))
+                heapq.heappush(env._queue, (env._now, _NORMAL_BIAS + env._eid, None, self))
                 break
 
             try:
@@ -347,7 +357,7 @@ class Process(Event):
                 # straight back in without a scheduler round.
                 event = next_event
                 continue
-            callbacks.append(self._resume)
+            callbacks.append(self._wake)
             self._target = next_event
             break
         env._active_process = None
@@ -433,9 +443,11 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        #: Heap of ``(time, seq, event)``; ``seq`` has the priority folded
-        #: into its high bits (see ``_PRIORITY_SHIFT``).
-        self._queue: List[Tuple[float, int, Event]] = []
+        #: Heap of ``(time, seq, callback, arg)``; ``seq`` has the priority
+        #: folded into its high bits (see ``_PRIORITY_SHIFT``).  An event
+        #: entry is ``(time, seq, None, event)``; a timer entry runs
+        #: ``callback(arg)``.
+        self._queue: List[Tuple[float, int, Optional[Callable[[Any], None]], Any]] = []
         self._eid = 0
         self._active_process: Optional[Process] = None
 
@@ -453,11 +465,12 @@ class Environment:
 
     @property
     def events_scheduled(self) -> int:
-        """How many events have been put on the queue so far.
+        """How many entries have been put on the queue so far.
 
         A deterministic measure of the kernel's work: same seed, same
-        count.  Events fired inline with :meth:`Event.fire` never touch
-        the queue and are not counted.
+        count.  Events and timer entries (:meth:`call_later`, process
+        starts) count once each; events fired inline with
+        :meth:`Event.fire` never touch the queue and are not counted.
         """
         return self._eid
 
@@ -474,6 +487,22 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires ``delay`` seconds from now."""
         return Timeout(self, delay, value)
+
+    def call_later(
+        self, delay: float, callback: Callable[[Any], None], arg: Any = None
+    ) -> None:
+        """Run ``callback(arg)`` from the run loop ``delay`` seconds from now.
+
+        A timer entry: it is ordered exactly like a :meth:`timeout` made at
+        the same moment, but nothing can wait on it.  An exception raised
+        by ``callback`` escapes :meth:`run`.
+        """
+        if delay < 0:
+            raise SimError(f"negative timer delay: {delay!r}")
+        self._eid += 1
+        heapq.heappush(
+            self._queue, (self._now + delay, _NORMAL_BIAS + self._eid, callback, arg)
+        )
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a new process running ``generator``."""
@@ -495,15 +524,18 @@ class Environment:
         self._eid += 1
         heapq.heappush(
             self._queue,
-            (self._now + delay, (priority << _PRIORITY_SHIFT) + self._eid, event),
+            (self._now + delay, (priority << _PRIORITY_SHIFT) + self._eid, None, event),
         )
 
     def step(self) -> None:
-        """Process the single next event.  Raises SimError on an empty queue."""
+        """Process the single next entry.  Raises SimError on an empty queue."""
         if not self._queue:
             raise SimError("step() on an empty event queue")
-        when, _seq, event = heapq.heappop(self._queue)
+        when, _seq, timer, event = heapq.heappop(self._queue)
         self._now = when
+        if timer is not None:
+            timer(event)
+            return
         callbacks = event.callbacks
         event.callbacks = None
         for callback in callbacks:
@@ -544,8 +576,11 @@ class Environment:
         pop = heapq.heappop
         try:
             while queue:
-                when, _seq, event = pop(queue)
+                when, _seq, timer, event = pop(queue)
                 self._now = when
+                if timer is not None:
+                    timer(event)
+                    continue
                 callbacks = event.callbacks
                 event.callbacks = None
                 for callback in callbacks:

@@ -40,8 +40,14 @@ class Tally:
         delta = value - self._mean
         self._mean += delta / self.count
         self._m2 += delta * (value - self._mean)
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        # Explicit compares instead of builtin min()/max() (a hot path):
+        # each keeps the old bound on a tie, exactly as the builtins do.
+        if self.min is None:
+            self.min = self.max = value
+        elif value < self.min:
+            self.min = value
+        elif value > self.max:
+            self.max = value
         if self._samples is not None:
             self._samples.append(value)
 

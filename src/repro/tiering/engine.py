@@ -274,7 +274,7 @@ class ShardMigrator:
         # received): fresh tracking, fence down.
         self._unfreeze(ino)
         self.sessions[ino] = _Session(ino, args.name)
-        yield from server.cpu.consume(0.0001)
+        yield server.cpu.consume(0.0001)
         return (inode.size, inode.generation), RPC_HEADER_BYTES
 
     def handle_read(self, args: MigrateReadArgs):
@@ -294,7 +294,7 @@ class ShardMigrator:
             # Older rounds were copied (or retransmitted) already.
             for stale in [r for r in session.rounds if r < args.round_no - 1]:
                 del session.rounds[stale]
-        yield from self.server.cpu.consume(0.0001)
+        yield self.server.cpu.consume(0.0001)
         return list(ranges), RPC_HEADER_BYTES
 
     def handle_park(self, args: MigrateParkArgs):
@@ -328,7 +328,7 @@ class ShardMigrator:
             entries.append((start, data))
             payload += len(data)
         dups = self._recent_dups()
-        yield from server.cpu.consume(0.0001 + 0.0000001 * payload)
+        yield server.cpu.consume(0.0001 + 0.0000001 * payload)
         return (entries, dups, inode.size), RPC_HEADER_BYTES + payload
 
     def _peek(self, inode, start: int, end: int) -> bytes:
@@ -380,7 +380,7 @@ class ShardMigrator:
         ino = args.fhandle[0]
         self.sessions.pop(ino, None)
         self._unfreeze(ino)
-        yield from self.server.cpu.consume(0.0001)
+        yield self.server.cpu.consume(0.0001)
         return None, RPC_HEADER_BYTES
 
     # -- destination-side handlers ----------------------------------------------
@@ -397,7 +397,7 @@ class ShardMigrator:
                 raise FsError("EEXIST", f"{args.name} exists as ino {existing}")
             inode = ufs.inodes[existing]
             inode.generation = args.generation
-            yield from server.cpu.consume(0.0001)
+            yield server.cpu.consume(0.0001)
             return None, RPC_HEADER_BYTES
         yield from ufs.adopt_inode(root, args.name, args.ino, args.generation)
         replicator = server.replicator
@@ -436,7 +436,7 @@ class ShardMigrator:
                 )
                 yield from replicator.commit_wait([op])
         else:
-            yield from server.cpu.consume(0.0001)
+            yield server.cpu.consume(0.0001)
         for client, xid, proc, reply in args.dups:
             server.svc.dup_cache.record_done(
                 RpcCall(xid=xid, proc=proc, args=None, size=1, client=client),
@@ -452,7 +452,7 @@ class ShardMigrator:
         if root.entries.get(args.name) != args.ino:
             # Already purged, or the name was reborn as another file.
             self._unfreeze(args.ino)
-            yield from server.cpu.consume(0.0001)
+            yield server.cpu.consume(0.0001)
             return None, RPC_HEADER_BYTES
         yield from ufs.remove(root, args.name)
         server.vnodes.forget(args.ino)

@@ -63,7 +63,7 @@ class TestCpuModel:
         done = []
 
         def worker(env, name):
-            yield from cpu.consume(0.01)
+            yield cpu.consume(0.01)
             done.append((name, env.now))
 
         env.process(worker(env, "a"))
@@ -78,7 +78,7 @@ class TestCpuModel:
         cpu = Cpu(env, cores=2)
 
         def worker(env):
-            yield from cpu.consume(0.01)
+            yield cpu.consume(0.01)
 
         env.process(worker(env))
         env.process(worker(env))
@@ -91,7 +91,7 @@ class TestCpuModel:
         cpu = Cpu(env)
 
         def worker(env):
-            yield from cpu.consume(0)
+            yield cpu.consume(0)
             return env.now
 
         proc = env.process(worker(env))
@@ -145,7 +145,7 @@ class TestServerConfig:
         done = []
 
         def worker(env, name, seconds):
-            yield from cpu.consume(seconds)
+            yield cpu.consume(seconds)
             done.append((name, env.now))
 
         for name, seconds in (("a", 0.03), ("b", 0.01), ("c", 0.01), ("d", 0.01)):

@@ -1,5 +1,9 @@
 """Unit and property tests for the simulation kernel (events, processes)."""
 
+import gc
+import heapq
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -429,3 +433,192 @@ def test_events_scheduled_counts_queue_pushes_only():
     assert env.events_scheduled == 2
     with pytest.raises(AttributeError):
         env.events_scheduled = 0
+
+
+# -- timer entries (Environment.call_later) ----------------------------------
+
+_KINDS = ("timer", "sleep", "start", "succeed")
+
+
+def _play(batches, timer_entries):
+    """Run two batches of kernel operations, the second issued at t=1.
+
+    Each operation records its label when it fires.  With
+    ``timer_entries`` off, every timer is a Timeout with an appended
+    callback instead of a call_later entry.
+    """
+    env = Environment()
+    trace = []
+
+    def later(delay, callback, arg):
+        if timer_entries:
+            env.call_later(delay, callback, arg)
+        else:
+            env.timeout(delay).callbacks.append(lambda _event: callback(arg))
+
+    def record(label):
+        trace.append((env.now, label))
+
+    def sleeper(delay, label):
+        yield env.timeout(delay)
+        record(label)
+
+    def starter(label):
+        record(label)
+        yield from ()
+
+    def issue(batch):
+        for index, (kind, delay) in enumerate(batch):
+            label = f"{kind}{index}@{env.now}"
+            if kind == "timer":
+                later(delay, record, label)
+            elif kind == "sleep":
+                env.process(sleeper(delay, label))
+            elif kind == "start":
+                env.process(starter(label))
+            else:
+                event = env.event()
+                event.callbacks.append(lambda _event, label=label: record(label))
+                event.succeed()
+
+    first, second = batches
+    issue(first)
+    later(1.0, issue, second)
+    env.run()
+    return trace, env.events_scheduled
+
+
+def _model(batches):
+    """The same operations on a plain (time, priority, insertion) heap."""
+    heap, trace, ids = [], [], itertools.count(1)
+    urgent, normal = 0, 1
+    now = [0.0]
+
+    def push(delay, priority, action):
+        heapq.heappush(heap, (now[0] + delay, priority, next(ids), action))
+
+    def record(label):
+        return lambda: trace.append((now[0], label))
+
+    def sleeper(delay, label):
+        def woken():
+            trace.append((now[0], label))
+            push(0.0, normal, lambda: None)  # the process ends
+
+        return lambda: push(delay, normal, woken)
+
+    def starter(label):
+        def started():
+            trace.append((now[0], label))
+            push(0.0, normal, lambda: None)
+
+        return started
+
+    def issue(batch):
+        for index, (kind, delay) in enumerate(batch):
+            label = f"{kind}{index}@{now[0]}"
+            if kind == "timer":
+                push(delay, normal, record(label))
+            elif kind == "sleep":
+                push(0.0, urgent, sleeper(delay, label))
+            elif kind == "start":
+                push(0.0, urgent, starter(label))
+            else:
+                push(0.0, normal, record(label))
+
+    first, second = batches
+    issue(first)
+    push(1.0, normal, lambda: issue(second))
+    while heap:
+        now[0], _priority, _id, action = heapq.heappop(heap)
+        action()
+    return trace, next(ids) - 1
+
+
+_OPS = st.lists(
+    st.tuples(st.sampled_from(_KINDS), st.sampled_from([0.0, 0.5, 1.0])), max_size=12
+)
+
+
+@given(batches=st.tuples(_OPS, _OPS))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_property_timer_entries_keep_time_priority_insertion_order(batches):
+    trace, scheduled = _play(batches, timer_entries=True)
+    assert (trace, scheduled) == _model(batches)
+    assert (trace, scheduled) == _play(batches, timer_entries=False)
+
+
+def test_call_later_rejects_a_negative_delay():
+    env = Environment()
+    with pytest.raises(SimError):
+        env.call_later(-0.5, print)
+    assert env.events_scheduled == 0
+
+
+def test_timer_callback_exception_escapes_run():
+    env = Environment()
+
+    def explode(arg):
+        raise ValueError(arg)
+
+    env.call_later(1.0, explode, "boom")
+    with pytest.raises(ValueError, match="boom"):
+        env.run()
+    assert env.now == 1.0
+
+
+def test_step_runs_a_timer_entry():
+    env = Environment()
+    seen = []
+    env.call_later(2.0, seen.append, "tick")
+    env.call_later(3.0, seen.append, "tock")
+    env.step()
+    assert seen == ["tick"] and env.now == 2.0 and env.peek() == 3.0
+
+
+def test_events_scheduled_counts_each_timer_once():
+    env = Environment()
+    fired = []
+    for delay in (0.0, 1.0, 1.0):
+        env.call_later(delay, fired.append, delay)
+    assert env.events_scheduled == 3
+    env.run()
+    assert fired == [0.0, 1.0, 1.0] and env.events_scheduled == 3
+
+
+def test_process_started_now_runs_before_normal_events_queued_now():
+    env = Environment()
+    order = []
+    done = env.event()
+    done.callbacks.append(lambda _event: order.append("succeed"))
+    done.succeed()
+    env.call_later(0.0, order.append, "timer")
+
+    def starter(env):
+        order.append("process")
+        yield from ()
+
+    env.process(starter(env))
+    env.run()
+    assert order == ["process", "succeed", "timer"]
+
+
+def test_finished_processes_leave_no_garbage_cycles():
+    # A process holds its bound wakeup callback; that self-cycle must be
+    # broken when the generator exits, or every finished process waits
+    # for the cycle collector and peak memory grows with the run.
+    gc.collect()
+    gc.disable()
+    try:
+        env = Environment()
+
+        def worker(env):
+            yield env.timeout(1.0)
+
+        for _ in range(20):
+            env.process(worker(env))
+        env.run()
+        del env
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,5 +1,8 @@
 """Tests for the measurement helpers (Tally, Counter, TimeWeighted, meters)."""
 
+import functools
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +41,52 @@ def test_tally_percentile_requires_samples():
     tally.observe(1.0)
     with pytest.raises(SimError):
         tally.percentile(0.5)
+
+
+def test_tally_first_sample_is_both_bounds():
+    tally = Tally()
+    assert tally.min is None and tally.max is None
+    tally.observe(7.5)
+    assert tally.min == 7.5 and tally.max == 7.5
+
+
+def test_tally_equal_samples_keep_the_first_bound():
+    # 0.0 == -0.0: like builtin min()/max(), a tie keeps the bound it has.
+    tally = Tally()
+    for value in (0.0, -0.0, 0.0, -0.0):
+        tally.observe(value)
+    assert math.copysign(1.0, tally.min) == 1.0
+    assert math.copysign(1.0, tally.max) == 1.0
+    tally = Tally()
+    tally.observe(-0.0)
+    tally.observe(0.0)
+    assert math.copysign(1.0, tally.min) == -1.0
+    assert math.copysign(1.0, tally.max) == -1.0
+
+
+def test_tally_negative_samples():
+    tally = Tally()
+    for value in (-3.0, -1.0, -7.0, -2.0):
+        tally.observe(value)
+    assert tally.min == -7.0
+    assert tally.max == -1.0
+
+
+def _signed(value):
+    return value, math.copysign(1.0, value)
+
+
+_TIES = st.sampled_from([0.0, -0.0, 1.5, -1.5, 3.0])
+
+
+@given(values=st.lists(_TIES | st.floats(-1e6, 1e6), min_size=1, max_size=50))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_property_tally_bounds_match_builtin_min_max(values):
+    tally = Tally()
+    for value in values:
+        tally.observe(value)
+    assert _signed(tally.min) == _signed(functools.reduce(min, values))
+    assert _signed(tally.max) == _signed(functools.reduce(max, values))
 
 
 @given(values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=200))
