@@ -22,19 +22,21 @@ See README.md for the architecture overview and DESIGN.md for the
 paper-to-module map.
 """
 
-from repro.core import GatheringWritePath, GatherPolicy
-from repro.experiments import TestbedConfig, run_filecopy, run_table
-from repro.server import NfsServer, ServerConfig
+from repro._lazy import lazy_surface
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "GatheringWritePath",
-    "GatherPolicy",
-    "NfsServer",
-    "ServerConfig",
-    "TestbedConfig",
-    "run_filecopy",
-    "run_table",
-    "__version__",
-]
+#: Each re-exported name -> its defining module, imported on first read.
+_LAZY = {
+    "GatheringWritePath": "repro.core.gather",
+    "GatherPolicy": "repro.core.policy",
+    "NfsServer": "repro.server.base",
+    "ServerConfig": "repro.server.config",
+    "TestbedConfig": "repro.experiments.testbed",
+    "run_filecopy": "repro.experiments.filecopy",
+    "run_table": "repro.experiments.tables",
+}
+
+__all__ = [*_LAZY, "__version__"]
+
+__getattr__, __dir__ = lazy_surface(__name__, _LAZY)

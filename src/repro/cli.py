@@ -41,10 +41,12 @@ from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.policy import GatherPolicy
-from repro.experiments import PAPER, TABLES, ExperimentSpec, kind, run, table_to_dict
 from repro.experiments.bench import bench_to_json
+from repro.experiments.results import table_to_dict
+from repro.experiments.runner import ExperimentSpec, kind, run
+from repro.experiments.tables import PAPER, TABLES
 from repro.experiments.testbed import TestbedConfig
-from repro.metrics import format_comparison
+from repro.metrics.report import format_comparison
 from repro.net import ETHERNET, FDDI, NETWORKS
 from repro.payload import PAYLOAD_FLYWEIGHT, PAYLOAD_FULL
 from repro.server.config import WritePath
@@ -536,7 +538,7 @@ class ClusterCommand(Command):
         ]
 
     def build(self, args, d):
-        from repro.cluster import ShardCrash
+        from repro.cluster.failover import ShardCrash
 
         cluster = replace(
             d.cluster,

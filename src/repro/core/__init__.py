@@ -1,38 +1,29 @@
 """The paper's contribution: NFS write gathering."""
 
-from repro.core.gather import GatheringWritePath, GatherStats
-from repro.core.learned import LearnedClientDb
-from repro.core.mbuf_hunter import hunt
-from repro.core.policy import REPLY_FIFO, REPLY_LIFO, GatherPolicy
-from repro.core.siva import SivaWritePath
-from repro.core.state_table import (
-    STAGE_DECODE,
-    STAGE_FLUSHING,
-    STAGE_GATHER_WAIT,
-    STAGE_IDLE,
-    STAGE_WRITING,
-    NfsdState,
-    NfsdStateTable,
-)
-from repro.core.write_queue import ActiveWriteQueue, WriteDescriptor, WriteQueueRegistry
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "GatheringWritePath",
-    "GatherStats",
-    "GatherPolicy",
-    "REPLY_FIFO",
-    "REPLY_LIFO",
-    "LearnedClientDb",
-    "hunt",
-    "SivaWritePath",
-    "NfsdStateTable",
-    "NfsdState",
-    "STAGE_IDLE",
-    "STAGE_DECODE",
-    "STAGE_WRITING",
-    "STAGE_GATHER_WAIT",
-    "STAGE_FLUSHING",
-    "ActiveWriteQueue",
-    "WriteDescriptor",
-    "WriteQueueRegistry",
-]
+#: Each public name -> its defining module, imported on first read.
+_LAZY = {
+    "GatheringWritePath": "repro.core.gather",
+    "GatherStats": "repro.core.gather",
+    "GatherPolicy": "repro.core.policy",
+    "REPLY_FIFO": "repro.core.policy",
+    "REPLY_LIFO": "repro.core.policy",
+    "LearnedClientDb": "repro.core.learned",
+    "hunt": "repro.core.mbuf_hunter",
+    "SivaWritePath": "repro.core.siva",
+    "NfsdStateTable": "repro.core.state_table",
+    "NfsdState": "repro.core.state_table",
+    "STAGE_IDLE": "repro.core.state_table",
+    "STAGE_DECODE": "repro.core.state_table",
+    "STAGE_WRITING": "repro.core.state_table",
+    "STAGE_GATHER_WAIT": "repro.core.state_table",
+    "STAGE_FLUSHING": "repro.core.state_table",
+    "ActiveWriteQueue": "repro.core.write_queue",
+    "WriteDescriptor": "repro.core.write_queue",
+    "WriteQueueRegistry": "repro.core.write_queue",
+}
+
+__all__ = list(_LAZY)
+
+__getattr__, __dir__ = lazy_surface(__name__, _LAZY)

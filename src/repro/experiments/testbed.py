@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
+from repro._lazy import lazy_surface
 from repro.core.policy import GatherPolicy
 from repro.disk.device import DiskDevice, Storage
 from repro.disk.model import RZ26, DiskSpec
@@ -18,7 +19,6 @@ from repro.disk.stripe import StripeSet
 from repro.net.segment import Segment
 from repro.net.spec import ETHERNET, NetSpec
 from repro.nfs.client import NfsClient
-from repro.nvram.presto import PrestoCache
 from repro.obs import RecordingCollector, install
 from repro.rpc.client import RpcClient
 from repro.server.base import NfsServer
@@ -34,15 +34,16 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):
-    # Fleet construction lives in repro.cluster; re-exported here (lazily,
-    # to avoid an import cycle) so experiment code has one front door for
-    # both single-server and multi-server assembly.
-    if name in ("ClusterConfig", "build_cluster", "Cluster"):
-        import repro.cluster.fleet as fleet
+# Fleet construction lives in repro.cluster; re-exported here (lazily, to
+# avoid an import cycle) so experiment code has one front door for both
+# single-server and multi-server assembly.
+_LAZY = {
+    "ClusterConfig": "repro.cluster.fleet",
+    "build_cluster": "repro.cluster.fleet",
+    "Cluster": "repro.cluster.fleet",
+}
 
-        return getattr(fleet, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = lazy_surface(__name__, _LAZY)
 
 
 @dataclass
@@ -124,6 +125,8 @@ class Testbed:
             base = self.disks[0]
         self.base_storage = base
         if config.presto_bytes:
+            from repro.nvram.presto import PrestoCache
+
             self.storage: Storage = PrestoCache(
                 self.env, base, capacity=config.presto_bytes
             )

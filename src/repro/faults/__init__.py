@@ -14,56 +14,35 @@ run.  :class:`~repro.faults.campaign.ChaosCampaign` sweeps seeded random
 plans across all write paths × Presto on/off (the ``repro chaos`` CLI).
 """
 
-from repro.faults.campaign import (
-    CampaignReport,
-    ChaosCampaign,
-    PlanResult,
-    generate_plan,
-    run_plan,
-)
-from repro.faults.controller import FaultController
-from repro.faults.events import (
-    AtTime,
-    BitRot,
-    DatagramDuplication,
-    DatagramReorder,
-    FaultEvent,
-    FaultPlan,
-    LatentSectorError,
-    NetworkPartition,
-    NvramDegrade,
-    OnSpan,
-    PacketLossBurst,
-    RetransmitStorm,
-    ServerCrash,
-    SlowDisk,
-    SockBufShrink,
-    TornWrite,
-)
-from repro.faults.oracle import Oracle
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "AtTime",
-    "OnSpan",
-    "FaultEvent",
-    "FaultPlan",
-    "ServerCrash",
-    "PacketLossBurst",
-    "NetworkPartition",
-    "DatagramDuplication",
-    "DatagramReorder",
-    "SlowDisk",
-    "SockBufShrink",
-    "RetransmitStorm",
-    "LatentSectorError",
-    "BitRot",
-    "TornWrite",
-    "NvramDegrade",
-    "FaultController",
-    "Oracle",
-    "ChaosCampaign",
-    "CampaignReport",
-    "PlanResult",
-    "generate_plan",
-    "run_plan",
-]
+#: Each public name -> its defining module, imported on first read.
+_LAZY = {
+    "AtTime": "repro.faults.events",
+    "OnSpan": "repro.faults.events",
+    "FaultEvent": "repro.faults.events",
+    "FaultPlan": "repro.faults.events",
+    "ServerCrash": "repro.faults.events",
+    "PacketLossBurst": "repro.faults.events",
+    "NetworkPartition": "repro.faults.events",
+    "DatagramDuplication": "repro.faults.events",
+    "DatagramReorder": "repro.faults.events",
+    "SlowDisk": "repro.faults.events",
+    "SockBufShrink": "repro.faults.events",
+    "RetransmitStorm": "repro.faults.events",
+    "LatentSectorError": "repro.faults.events",
+    "BitRot": "repro.faults.events",
+    "TornWrite": "repro.faults.events",
+    "NvramDegrade": "repro.faults.events",
+    "FaultController": "repro.faults.controller",
+    "Oracle": "repro.faults.oracle",
+    "ChaosCampaign": "repro.faults.campaign",
+    "CampaignReport": "repro.faults.campaign",
+    "PlanResult": "repro.faults.campaign",
+    "generate_plan": "repro.faults.campaign",
+    "run_plan": "repro.faults.campaign",
+}
+
+__all__ = list(_LAZY)
+
+__getattr__, __dir__ = lazy_surface(__name__, _LAZY)

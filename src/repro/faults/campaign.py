@@ -45,7 +45,7 @@ from repro.obs import (
     PHASE_VNODE_WAIT,
 )
 from repro.sim import AllOf
-from repro.workload import write_file
+from repro.workload.sequential import write_file
 
 __all__ = [
     "ChaosCampaign",

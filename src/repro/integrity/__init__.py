@@ -19,24 +19,11 @@ resolve lazily so importing :mod:`repro.fs` never cycles back through
 the cluster stack.
 """
 
+from repro._lazy import lazy_surface
 from repro.integrity.checksum import block_digest
 from repro.integrity.errors import CorruptBlockError
 
-__all__ = [
-    "block_digest",
-    "CorruptBlockError",
-    "Scrubber",
-    "ScrubFetchArgs",
-    "QuarantineRecord",
-    "RepairRecord",
-    "install_scrub_fetch",
-    "ScrubConfig",
-    "ScrubArm",
-    "ScrubRunResult",
-    "SCRUB_SCHEMA",
-    "run_scrub",
-]
-
+#: Each lazily re-exported name -> its defining module, imported on first read.
 _LAZY = {
     "Scrubber": "repro.integrity.scrub",
     "ScrubFetchArgs": "repro.integrity.scrub",
@@ -50,11 +37,6 @@ _LAZY = {
     "run_scrub": "repro.integrity.experiment",
 }
 
+__all__ = ["block_digest", "CorruptBlockError", *_LAZY]
 
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
+__getattr__, __dir__ = lazy_surface(__name__, _LAZY)

@@ -1,14 +1,16 @@
 """Experiment metrics and paper-style report rendering."""
 
-from repro.metrics.collect import FileCopyMetrics
-from repro.metrics.report import format_comparison, format_paper_table
-from repro.metrics.svg import LineChart
-from repro.metrics.timeseries import RateSeries
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "FileCopyMetrics",
-    "format_paper_table",
-    "format_comparison",
-    "LineChart",
-    "RateSeries",
-]
+#: Each public name -> its defining module, imported on first read.
+_LAZY = {
+    "FileCopyMetrics": "repro.metrics.collect",
+    "format_paper_table": "repro.metrics.report",
+    "format_comparison": "repro.metrics.report",
+    "LineChart": "repro.metrics.svg",
+    "RateSeries": "repro.metrics.timeseries",
+}
+
+__all__ = list(_LAZY)
+
+__getattr__, __dir__ = lazy_surface(__name__, _LAZY)

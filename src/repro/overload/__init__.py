@@ -15,28 +15,22 @@ NFS-over-UDP congestion collapse, and its mitigation, in four pieces:
   the :class:`~repro.faults.oracle.Oracle`.
 """
 
-from repro.overload.admission import SHED_POLICIES, AdmissionQueue
-from repro.overload.rto import AdaptiveRetryPolicy, RtoEstimator, retransmit_jitter
-from repro.overload.window import WriteWindow
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "AdaptiveRetryPolicy",
-    "RtoEstimator",
-    "retransmit_jitter",
-    "WriteWindow",
-    "AdmissionQueue",
-    "SHED_POLICIES",
-    "OverloadConfig",
-    "OverloadReport",
-    "MODES",
-]
+#: Each public name -> its defining module, imported on first read, so
+#: switching on one mechanism (say, admission control) loads only its module.
+_LAZY = {
+    "AdaptiveRetryPolicy": "repro.overload.rto",
+    "RtoEstimator": "repro.overload.rto",
+    "retransmit_jitter": "repro.overload.rto",
+    "WriteWindow": "repro.overload.window",
+    "AdmissionQueue": "repro.overload.admission",
+    "SHED_POLICIES": "repro.server.config",
+    "OverloadConfig": "repro.overload.experiment",
+    "OverloadReport": "repro.overload.experiment",
+    "MODES": "repro.overload.experiment",
+}
 
+__all__ = list(_LAZY)
 
-def __getattr__(name: str):
-    # The experiment pulls in testbed/faults machinery; load it lazily so
-    # importing the policy classes stays cheap and cycle-free.
-    if name in ("OverloadConfig", "OverloadReport", "MODES"):
-        import repro.overload.experiment as experiment
-
-        return getattr(experiment, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = lazy_surface(__name__, _LAZY)

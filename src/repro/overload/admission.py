@@ -30,11 +30,10 @@ from repro.net.udp import SocketBuffer, UdpEndpoint
 from repro.obs import PHASE_SHED, collector_for, registry_for
 from repro.rpc.dupcache import DuplicateRequestCache
 from repro.rpc.messages import RpcCall
+from repro.server.config import SHED_POLICIES
 from repro.sim import Environment
 
 __all__ = ["AdmissionQueue", "SHED_POLICIES"]
-
-SHED_POLICIES = ("drop-newest", "drop-oldest", "early-reply")
 
 
 class AdmissionQueue:

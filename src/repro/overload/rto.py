@@ -32,8 +32,7 @@ from typing import Dict, Optional
 
 # The jitter draw lives with the RPC client that arms the timers.  This
 # module depends on repro.rpc and never the reverse, which keeps the
-# import graph acyclic (repro.overload's package init pulls in
-# repro.rpc through the admission queue).
+# import graph acyclic.
 from repro.rpc.client import retransmit_jitter
 from repro.rpc.messages import CLASS_HEAVY, CLASS_LIGHT, CLASS_MEDIUM
 

@@ -14,7 +14,12 @@ from typing import Optional, Union
 from repro.core.policy import GatherPolicy
 from repro.fs.ufs import CostModel
 
-__all__ = ["ServerConfig", "WritePath"]
+__all__ = ["ServerConfig", "WritePath", "SHED_POLICIES"]
+
+#: What an admission queue (:mod:`repro.overload.admission`) may do with an
+#: arrival past its cap.  Declared here so validating a config never loads
+#: the overload package.
+SHED_POLICIES = ("drop-newest", "drop-oldest", "early-reply")
 
 
 class WritePath(str, enum.Enum):
@@ -122,8 +127,6 @@ class ServerConfig:
             raise ValueError(
                 f"admission_max_requests must be >= 1, got {self.admission_max_requests}"
             )
-        from repro.overload.admission import SHED_POLICIES
-
         if self.shed_policy not in SHED_POLICIES:
             names = ", ".join(SHED_POLICIES)
             raise ValueError(

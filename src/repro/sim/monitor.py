@@ -180,6 +180,13 @@ class UtilizationMeter:
     Supports overlapping busy intervals (a multi-slot resource): the meter
     counts time during which at least one interval is open, and also
     integrates total busy-slot-seconds for mean-concurrency queries.
+
+    While at most one interval is open, slot-seconds equal busy time bit
+    for bit, and most meters (a disk, the wire, one CPU core) never see
+    more.  So the slot-seconds :class:`TimeWeighted` starts only at the
+    first overlap (or the first :meth:`add_busy`, which counts busy time
+    but no slot), seeded with the busy time so far; until then
+    :meth:`mean_concurrency` derives from :attr:`busy_time`.
     """
 
     def __init__(self, env: Environment, name: str = "") -> None:
@@ -188,23 +195,35 @@ class UtilizationMeter:
         self._active = 0
         self._busy_since = 0.0
         self._busy_time = 0.0
-        self._slot_seconds = TimeWeighted(env, 0.0)
+        self._slot_seconds: Optional[TimeWeighted] = None
         self._start = env.now
 
-    # begin()/end() run once per frame, CPU hold and disk transfer, so they
-    # do TimeWeighted.adjust(±1) inline: the same float operations in the
-    # same order, without the two method calls.
+    def _integrate_slots(self) -> None:
+        """Start the slot-seconds integral as it stands now."""
+        slots = TimeWeighted(self.env, float(self._active))
+        slots._area = self._busy_time
+        slots._start = self._start
+        if self._active:
+            slots._last_change = self._busy_since
+        self._slot_seconds = slots
+
+    # begin()/end() run once per frame, CPU hold and disk transfer, so once
+    # slot-seconds are integrated they do TimeWeighted.adjust(±1) inline:
+    # the same float operations in the same order, without the calls.
 
     def begin(self) -> None:
         """Mark the start of a busy interval."""
         now = self.env._now
         if self._active == 0:
             self._busy_since = now
+        elif self._slot_seconds is None:
+            self._integrate_slots()
         self._active += 1
         slots = self._slot_seconds
-        slots._area += slots._value * (now - slots._last_change)
-        slots._value = slots._value + 1
-        slots._last_change = now
+        if slots is not None:
+            slots._area += slots._value * (now - slots._last_change)
+            slots._value = slots._value + 1
+            slots._last_change = now
 
     def end(self) -> None:
         """Mark the end of a busy interval."""
@@ -213,9 +232,10 @@ class UtilizationMeter:
         now = self.env._now
         self._active -= 1
         slots = self._slot_seconds
-        slots._area += slots._value * (now - slots._last_change)
-        slots._value = slots._value - 1
-        slots._last_change = now
+        if slots is not None:
+            slots._area += slots._value * (now - slots._last_change)
+            slots._value = slots._value - 1
+            slots._last_change = now
         if self._active == 0:
             self._busy_time += now - self._busy_since
 
@@ -223,6 +243,8 @@ class UtilizationMeter:
         """Directly account ``seconds`` of busy time (non-overlapping use)."""
         if seconds < 0:
             raise SimError(f"busy seconds must be >= 0, got {seconds}")
+        if self._slot_seconds is None:
+            self._integrate_slots()
         self._busy_time += seconds
 
     @property
@@ -240,11 +262,17 @@ class UtilizationMeter:
 
     def mean_concurrency(self) -> float:
         """Time-weighted mean number of simultaneously busy slots."""
-        return self._slot_seconds.mean()
+        if self._slot_seconds is not None:
+            return self._slot_seconds.mean()
+        elapsed = self.env.now - self._start
+        if elapsed <= 0:
+            return float(self._active)
+        return self.busy_time / elapsed
 
     def reset(self) -> None:
         self._busy_time = 0.0
         self._start = self.env.now
         if self._active:
             self._busy_since = self.env.now
-        self._slot_seconds.reset()
+        if self._slot_seconds is not None:
+            self._slot_seconds.reset()

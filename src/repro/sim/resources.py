@@ -97,6 +97,9 @@ class Resource:
         if request._granted:
             self.users.remove(request)
             request._granted = False
+            # A grant succeeds with the request itself; the waiter has read
+            # it by now, so drop the self-cycle and free at refcount zero.
+            request._value = None
             self._grant()
         else:
             self._withdraw(request)

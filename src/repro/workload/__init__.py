@@ -1,35 +1,26 @@
 """Workloads: sequential writer, dumb PC, random access, LADDIS mix,
 Zipf multi-tenant hot spots."""
 
-from repro.workload.dumbpc import (
-    DUMB_PC_THINK_TIME,
-    FAST_CLIENT_THINK_TIME,
-    make_dumb_pc,
-)
-from repro.workload.laddis import (
-    SFS_LATENCY_BOUND_MS,
-    SFS_MIX,
-    LaddisGenerator,
-    LaddisResult,
-)
-from repro.workload.random_access import write_random
-from repro.workload.sequential import patterned_chunk, write_file
-from repro.workload.timesharing import run_timesharing
-from repro.workload.zipf import tenant_file_name, zipf_tenant, zipf_weights
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "write_file",
-    "patterned_chunk",
-    "write_random",
-    "run_timesharing",
-    "make_dumb_pc",
-    "DUMB_PC_THINK_TIME",
-    "FAST_CLIENT_THINK_TIME",
-    "LaddisGenerator",
-    "LaddisResult",
-    "SFS_MIX",
-    "SFS_LATENCY_BOUND_MS",
-    "zipf_tenant",
-    "zipf_weights",
-    "tenant_file_name",
-]
+#: Each public name -> its defining module, imported on first read.
+_LAZY = {
+    "write_file": "repro.workload.sequential",
+    "patterned_chunk": "repro.workload.sequential",
+    "write_random": "repro.workload.random_access",
+    "run_timesharing": "repro.workload.timesharing",
+    "make_dumb_pc": "repro.workload.dumbpc",
+    "DUMB_PC_THINK_TIME": "repro.workload.dumbpc",
+    "FAST_CLIENT_THINK_TIME": "repro.workload.dumbpc",
+    "LaddisGenerator": "repro.workload.laddis",
+    "LaddisResult": "repro.workload.laddis",
+    "SFS_MIX": "repro.workload.laddis",
+    "SFS_LATENCY_BOUND_MS": "repro.workload.laddis",
+    "zipf_tenant": "repro.workload.zipf",
+    "zipf_weights": "repro.workload.zipf",
+    "tenant_file_name": "repro.workload.zipf",
+}
+
+__all__ = list(_LAZY)
+
+__getattr__, __dir__ = lazy_surface(__name__, _LAZY)

@@ -1,6 +1,8 @@
 """Tests for the disk model, device, and stripe set — including calibration
 checks against the paper's RZ26 throughput anchors."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -269,3 +271,31 @@ def test_property_device_time_positive_and_additive(lengths):
     assert total > 0
     assert device.stats.transactions.value == len(lengths)
     assert device.stats.busy.busy_time == pytest.approx(total, rel=1e-9)
+
+
+def test_completed_requests_leave_no_garbage_cycles():
+    # A request and its completion event point at each other until the
+    # device lets go, so a completed I/O frees at refcount zero.
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        env = Environment()
+        device = DiskDevice(env, RZ26)
+        served = []
+
+        def writer(env, base):
+            for index in range(3):
+                request = yield device.submit(base + index * 8 * KB, 8 * KB)
+                served.append(request.offset)
+
+        env.process(writer(env, 0))
+        env.process(writer(env, 1024 * KB))
+        env.run()
+        assert sorted(served) == [0, 8 * KB, 16 * KB, 1024 * KB, 1032 * KB, 1040 * KB]
+        assert gc.collect() == 0
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()

@@ -232,3 +232,92 @@ def test_utilization_open_interval_counts_to_now():
     env.process(proc(env))
     env.run()
     assert meter.utilization() == pytest.approx(0.5)
+
+
+class _IntegratingMeter:
+    """A UtilizationMeter that integrates slot-seconds on every begin/end,
+    as the meter did before it started the integral at the first overlap."""
+
+    def __init__(self, env):
+        self.env = env
+        self.active = 0
+        self.busy_since = 0.0
+        self.busy = 0.0
+        self.slots = TimeWeighted(env, 0.0)
+        self.start = env.now
+
+    def begin(self):
+        if self.active == 0:
+            self.busy_since = self.env.now
+        self.active += 1
+        self.slots.adjust(1)
+
+    def end(self):
+        self.active -= 1
+        self.slots.adjust(-1)
+        if self.active == 0:
+            self.busy += self.env.now - self.busy_since
+
+    def add_busy(self, seconds):
+        self.busy += seconds
+
+    @property
+    def busy_time(self):
+        extra = self.env.now - self.busy_since if self.active else 0.0
+        return self.busy + extra
+
+    def utilization(self):
+        elapsed = self.env.now - self.start
+        return min(1.0, self.busy_time / elapsed) if elapsed > 0 else 0.0
+
+    def mean_concurrency(self):
+        return self.slots.mean()
+
+    def reset(self):
+        self.busy = 0.0
+        self.start = self.env.now
+        if self.active:
+            self.busy_since = self.env.now
+        self.slots.reset()
+
+
+_METER_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["begin", "end", "reset", "add_busy"]),
+        st.sampled_from([0.0, 0.1, 1 / 3, 2.5]) | st.floats(0.0, 50.0),
+    ),
+    max_size=60,
+)
+
+
+@given(ops=_METER_OPS, max_open=st.sampled_from([1, 3]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_property_meter_matches_integrating_every_interval(ops, max_open):
+    """With or without overlap, reset or add_busy, every reading equals the
+    always-integrating meter's exactly."""
+    env = Environment()
+    meter, reference = UtilizationMeter(env), _IntegratingMeter(env)
+    readings = []
+
+    def driver(env):
+        for op, seconds in ops:
+            if op == "add_busy":
+                meter.add_busy(seconds)
+                reference.add_busy(seconds)
+                continue
+            yield env.timeout(seconds)
+            if op == "begin" and reference.active < max_open:
+                meter.begin()
+                reference.begin()
+            elif op == "end" and reference.active:
+                meter.end()
+                reference.end()
+            elif op == "reset":
+                meter.reset()
+                reference.reset()
+            for m in (meter, reference):
+                readings.append((m.busy_time, m.utilization(), m.mean_concurrency()))
+            assert readings[-2] == readings[-1]
+
+    env.process(driver(env))
+    env.run()

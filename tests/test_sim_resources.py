@@ -1,5 +1,7 @@
 """Tests for Resource / PriorityResource / Store / Container."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -256,3 +258,32 @@ def test_property_resource_never_exceeds_capacity(capacity, holds):
     env.run()
     assert max_seen[0] <= capacity
     assert active[0] == 0
+
+
+@pytest.mark.parametrize("kind", [Resource, PriorityResource])
+def test_released_requests_leave_no_garbage_cycles(kind):
+    # A grant succeeds with the request itself.  Release must drop that
+    # self-reference, or every lock hold waits for the cycle collector.
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        env = Environment()
+        lock = kind(env)
+        granted = []
+
+        def user(env):
+            with lock.request() as req:
+                granted.append((yield req) is req)
+                yield env.timeout(1.0)
+
+        for _ in range(4):  # the first is granted at once, the rest queue
+            env.process(user(env))
+        env.run()
+        assert granted == [True] * 4
+        assert gc.collect() == 0
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
