@@ -4,7 +4,9 @@ A :class:`Cluster` is the multi-server analogue of
 :class:`~repro.experiments.testbed.Testbed`: one simulation environment,
 one or more shared network segments ("racks"), and N complete server
 stacks — each shard owns its own spindles, optional Presto NVRAM board,
-UFS instance, and nfsd pool, exactly as if it were a standalone testbed
+UFS instance, and nfsd pool, built by the same
+:class:`~repro.experiments.testbed.NodeConfig` rules and
+:func:`~repro.experiments.testbed.build_storage` as a standalone testbed
 server.  Shards share nothing but the wire.
 
 Each shard's UFS gets a disjoint inode range (``ino_base``), so file
@@ -14,20 +16,17 @@ cluster oracle both depend on that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.cluster.router import ClusterRpc, MountRouter
 from repro.cluster.shardmap import ShardMap
-from repro.core.policy import GatherPolicy
 from repro.disk.device import DiskDevice, Storage
-from repro.disk.model import RZ26, DiskSpec
-from repro.disk.stripe import StripeSet
+from repro.experiments.testbed import NodeConfig, build_storage
 from repro.fs.ufs import ROOT_INO
 from repro.net.segment import Segment
 from repro.net.spec import FDDI, NetSpec
 from repro.nfs.client import NfsClient
-from repro.nvram.presto import PrestoCache
 from repro.obs import RecordingCollector, install, registry_for
 from repro.rpc.client import RpcClient
 from repro.server.base import NfsServer
@@ -42,9 +41,17 @@ INO_STRIDE = 1_000_000
 
 
 @dataclass
-class ClusterConfig:
-    """One scale-out configuration: the fleet, the map, and the wire."""
+class ClusterConfig(NodeConfig):
+    """One scale-out configuration: the fleet, the map, and the wire.
 
+    The :class:`~repro.experiments.testbed.NodeConfig` fields describe
+    every shard and client; ``presto_bytes`` and ``stripes`` are per shard,
+    and ``lease_ttl`` runs a lease manager on primaries *and* backups, so
+    a promoted backup can keep granting.
+    """
+
+    netspec: NetSpec = FDDI
+    write_path: WritePath = WritePath.GATHER
     #: Number of server shards.
     servers: int = 2
     #: Virtual nodes per server on the consistent-hash ring.
@@ -52,23 +59,6 @@ class ClusterConfig:
     #: Network segments; servers (and client endpoints) spread round-robin
     #: across racks.  1 = the paper's single shared medium.
     racks: int = 1
-    netspec: NetSpec = FDDI
-    write_path: WritePath = WritePath.GATHER
-    nbiods: int = 4
-    #: Per-shard NVRAM accelerator: None = off, else capacity in bytes.
-    presto_bytes: Optional[int] = None
-    #: Spindles per shard.
-    stripes: int = 1
-    disk_spec: DiskSpec = RZ26
-    nfsds: int = 8
-    cpu_scale: float = 1.0
-    verify_stable: bool = True
-    gather_policy: GatherPolicy = field(default_factory=GatherPolicy)
-    client_write_cpu: float = 0.0003
-    seed: int = 0
-    loss_rate: float = 0.0
-    net_seed: Optional[int] = None
-    tracing: bool = False
     #: Per-shard retry budget for routed calls (repro.overload): the
     #: transmissions a client spends on one shard before re-resolving the
     #: route (failover redirect) or surfacing ETIMEDOUT.  None = retry
@@ -81,13 +71,6 @@ class ClusterConfig:
     replicas: int = 0
     #: Backups that must ack stable storage before a reply is released.
     quorum: int = 1
-    #: Lease TTL in seconds (repro.lease): every shard (primaries *and*
-    #: backups, so a promoted backup can keep granting) runs a
-    #: LeaseManager and every client gets a CacheStack.  None = off.
-    lease_ttl: Optional[float] = None
-    #: Memory-pressure ceiling for the async_commit path (repro.commit);
-    #: None = the ServerConfig default (512 KB).
-    unstable_limit_bytes: Optional[int] = None
     #: Heterogeneous tiers (repro.tiering): a sequence of
     #: :class:`~repro.tiering.tiers.TierConfig` hardware classes.  When
     #: set, ``servers`` is derived (the sum of tier shard counts), each
@@ -97,7 +80,7 @@ class ClusterConfig:
     tiers: Optional[List] = None
 
     def __post_init__(self) -> None:
-        self.write_path = WritePath.coerce(self.write_path)
+        super().__post_init__()
         if self.tiers:
             names = [tier.name for tier in self.tiers]
             if len(set(names)) != len(names):
@@ -128,10 +111,6 @@ class ClusterConfig:
             # Promotion strands any call already retransmitting into the
             # dead primary unless it can give up and re-resolve.
             self.failover_attempts = 3
-
-    def variant(self, **changes) -> "ClusterConfig":
-        """A copy with some fields replaced (sweeps build on this)."""
-        return replace(self, **changes)
 
 
 class Cluster:
@@ -214,44 +193,15 @@ class Cluster:
         self, index: int, name_infix: str
     ) -> "tuple[List[DiskDevice], Storage]":
         presto_bytes, disk_spec, stripes, _fs_bytes = self._shard_hardware(index)
-        disks = [
-            DiskDevice(
-                self.env,
-                disk_spec,
-                name=f"{disk_spec.name}-s{index}{name_infix}-{spindle}",
-            )
-            for spindle in range(stripes)
-        ]
-        base: Storage
-        if stripes > 1:
-            base = StripeSet(self.env, disks)
-        else:
-            base = disks[0]
-        storage: Storage = (
-            PrestoCache(self.env, base, capacity=presto_bytes)
-            if presto_bytes
-            else base
+        disks, _base, storage = build_storage(
+            self.env, disk_spec, stripes, presto_bytes, f"-s{index}{name_infix}"
         )
         return disks, storage
 
     def _server_config(self, index: int) -> ServerConfig:
-        config = self.config
-        extra = {}
-        if config.unstable_limit_bytes is not None:
-            extra["unstable_limit_bytes"] = config.unstable_limit_bytes
         fs_bytes = self._shard_hardware(index)[3]
-        if fs_bytes is not None:
-            extra["fs_bytes"] = fs_bytes
-        return ServerConfig(
-            nfsds=config.nfsds,
-            write_path=config.write_path,
-            gather_policy=config.gather_policy,
-            verify_stable=config.verify_stable,
-            cpu_scale=config.cpu_scale,
-            ino_base=(index + 1) * INO_STRIDE,
-            lease_ttl=config.lease_ttl,
-            **extra,
-        )
+        extra = {} if fs_bytes is None else {"fs_bytes": fs_bytes}
+        return self.config.server_config(ino_base=(index + 1) * INO_STRIDE, **extra)
 
     def _build_server(self, index: int) -> NfsServer:
         from repro.tiering.engine import ShardMigrator
@@ -351,30 +301,7 @@ class Cluster:
             self._rack_of_server,
             failover_attempts=self.config.failover_attempts,
         )
-        effective_nbiods = self.config.nbiods if nbiods is None else nbiods
-        # An async-commit fleet serves NFSv3 clients: unstable WRITE +
-        # COMMIT, with a write window driving the COMMIT pressure rule.
-        is_async = self.config.write_path == WritePath.ASYNC_COMMIT
-        write_window = None
-        if is_async:
-            from repro.overload.window import WriteWindow
-
-            write_window = WriteWindow(initial=max(1, effective_nbiods))
-        client = NfsClient(
-            self.env,
-            cluster_rpc,
-            nbiods=effective_nbiods,
-            write_cpu=self.config.client_write_cpu,
-            nfs_version=3 if is_async else 2,
-            write_window=write_window,
-        )
-        if self.config.lease_ttl is not None:
-            # Mandatory with leases: CacheStack registers the CB_RECALL
-            # handler on every rack transport (set_on_call) and the
-            # reroute hook that re-registers leases after a promotion.
-            from repro.nfs.cache import CacheStack
-
-            CacheStack(self.env, client)
+        client = self.config.new_client(self.env, cluster_rpc, nbiods=nbiods)
         self.clients.append(client)
         return client
 

@@ -345,7 +345,3 @@ class ClusterRpc:
     @property
     def retransmissions_total(self) -> float:
         return self._sum("retransmissions")
-
-    @property
-    def completed_total(self) -> float:
-        return self._sum("completed")

@@ -43,16 +43,6 @@ class IoStats:
         self.busy.reset()
         self.by_kind.clear()
 
-    # -- paper-table quantities -------------------------------------------
-
-    def kb_per_second(self) -> float:
-        """Device throughput in KB/s over the measurement window."""
-        return self.bytes.rate() / 1024.0
-
-    def transactions_per_second(self) -> float:
-        """Device transaction rate over the measurement window."""
-        return self.transactions.rate()
-
     def merge_from(self, other: "IoStats") -> None:
         """Fold another device's counters into this aggregate view."""
         self.transactions.add(other.transactions.value)

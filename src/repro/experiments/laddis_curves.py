@@ -99,9 +99,7 @@ def run_curve(
     )
     testbed = Testbed(config)
     generator = LaddisGenerator(
-        testbed.env,
-        testbed.segment,
-        server_host=testbed.server.host,
+        testbed,
         clients=clients,
         procs_per_client=procs_per_client,
         seed=seed,

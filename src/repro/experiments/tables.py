@@ -9,14 +9,14 @@ layout or compared against :data:`PAPER` values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.experiments.filecopy import run_filecopy
 from repro.experiments.runner import register
 from repro.experiments.testbed import TestbedConfig
-from repro.metrics.collect import FileCopyMetrics
-from repro.metrics.report import format_paper_table
 from repro.net.spec import ETHERNET, FDDI, NetSpec
+
+if TYPE_CHECKING:
+    from repro.metrics.collect import FileCopyMetrics
 
 __all__ = ["TableSpec", "TableResult", "TableParams", "TABLES", "PAPER", "run_table"]
 
@@ -145,6 +145,8 @@ class TableResult:
     gathering: List[FileCopyMetrics] = field(default_factory=list)
 
     def render(self) -> str:
+        from repro.metrics.report import format_paper_table
+
         return format_paper_table(
             self.spec.title,
             self.spec.biods,
@@ -169,6 +171,8 @@ def run_table(number: int, file_mb: float = 10.0) -> TableResult:
 
     ``file_mb`` can be lowered for quick runs; 10 MB matches the paper.
     """
+    from repro.experiments.filecopy import run_filecopy
+
     spec = TABLES[number]
     result = TableResult(spec)
     for write_path, bucket in (("standard", result.standard), ("gather", result.gathering)):

@@ -4,12 +4,15 @@ One :class:`TestbedConfig` describes a whole hardware configuration from
 the paper's Results section (network technology, spindle count, Presto
 on/off, nfsd count, write path) and :func:`build_testbed` stands it up
 inside a fresh simulation environment.
+
+:class:`NodeConfig` and :func:`build_storage` are the one place a server
+stack and its clients are assembled, for a testbed and a fleet alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro._lazy import lazy_surface
 from repro.core.policy import GatherPolicy
@@ -26,6 +29,8 @@ from repro.server.config import ServerConfig, WritePath
 from repro.sim import Environment
 
 __all__ = [
+    "NodeConfig",
+    "build_storage",
     "TestbedConfig",
     "Testbed",
     "build_testbed",
@@ -47,14 +52,16 @@ __getattr__, __dir__ = lazy_surface(__name__, _LAZY)
 
 
 @dataclass
-class TestbedConfig:
-    """A full experiment configuration."""
+class NodeConfig:
+    """What a testbed server and every fleet shard are built from, and
+    the rules that turn it into a :class:`ServerConfig` and clients."""
 
     netspec: NetSpec = ETHERNET
     write_path: WritePath = WritePath.STANDARD
     nbiods: int = 4
-    #: NVRAM accelerator: None = off, else capacity in bytes.
+    #: NVRAM accelerator per server: None = off, else capacity in bytes.
     presto_bytes: Optional[int] = None
+    #: Spindles per server.
     stripes: int = 1
     disk_spec: DiskSpec = RZ26
     nfsds: int = 8
@@ -68,19 +75,9 @@ class TestbedConfig:
     #: Seed for the segment's RNG (loss/duplication/reorder draws); None
     #: falls back to ``seed`` so existing configs are unchanged.
     net_seed: Optional[int] = None
-    #: When True, the testbed installs a :class:`~repro.obs.RecordingCollector`
+    #: When True, a :class:`~repro.obs.RecordingCollector` is installed
     #: so every layer emits lifecycle spans (off by default: zero cost).
     tracing: bool = False
-    #: Server UDP socket buffer (bytes); None = the ServerConfig default
-    #: (the paper's .25M DEC OSF/1 maximum).  The overload experiment
-    #: shrinks this to model period-realistic receive buffers.
-    sockbuf_bytes: Optional[int] = None
-    #: Server admission control (repro.overload): cap on queued requests.
-    #: None = no admission queue (shed only by silent byte overflow).
-    admission_max_requests: Optional[int] = None
-    #: Shed policy when the admission cap is hit: "drop-newest",
-    #: "drop-oldest", or "early-reply".
-    shed_policy: str = "drop-newest"
     #: Lease TTL in seconds (repro.lease): enables the server lease layer
     #: and gives every added client a :class:`~repro.nfs.cache.CacheStack`.
     #: None = no leases, no client caching — the pre-lease behaviour.
@@ -92,9 +89,86 @@ class TestbedConfig:
     def __post_init__(self) -> None:
         self.write_path = WritePath.coerce(self.write_path)
 
-    def variant(self, **changes) -> "TestbedConfig":
+    def variant(self, **changes):
         """A copy with some fields replaced (sweeps build on this)."""
         return replace(self, **changes)
+
+    def server_config(self, **extra) -> ServerConfig:
+        """The server's configuration, plus stack-specific ``extra``."""
+        if self.unstable_limit_bytes is not None:
+            extra["unstable_limit_bytes"] = self.unstable_limit_bytes
+        return ServerConfig(
+            nfsds=self.nfsds,
+            write_path=self.write_path,
+            gather_policy=self.gather_policy,
+            verify_stable=self.verify_stable,
+            cpu_scale=self.cpu_scale,
+            lease_ttl=self.lease_ttl,
+            **extra,
+        )
+
+    def new_client(
+        self, env: Environment, rpc, nbiods: Optional[int] = None, write_window=None
+    ) -> NfsClient:
+        """One client host's NFS layer over the transport ``rpc``."""
+        nbiods = self.nbiods if nbiods is None else nbiods
+        # The async-commit path needs NFSv3 clients (unstable WRITE + COMMIT)
+        # with a write window for COMMIT pressure, starting at the biod
+        # depth so a clean wire keeps full write-behind.
+        is_async = self.write_path == WritePath.ASYNC_COMMIT
+        if is_async and write_window is None:
+            from repro.overload.window import WriteWindow
+
+            write_window = WriteWindow(initial=max(1, nbiods))
+        client = NfsClient(
+            env,
+            rpc,
+            nbiods=nbiods,
+            write_cpu=self.client_write_cpu,
+            nfs_version=3 if is_async else 2,
+            write_window=write_window,
+        )
+        if self.lease_ttl is not None:
+            # Mandatory with leases: a client without the cache stack's
+            # recall handler would stall every conflicting writer a TTL.
+            from repro.nfs.cache import CacheStack
+
+            CacheStack(env, client)
+        return client
+
+
+def build_storage(
+    env: Environment, disk_spec: DiskSpec, stripes: int, presto_bytes: Optional[int], label=""
+) -> Tuple[List[DiskDevice], Storage, Storage]:
+    """``(disks, base, storage)``: spindles named ``{disk}{label}-{n}``, a
+    stripe set over several, and a Presto board in front when configured
+    (``storage``; ``base`` is what lies under it)."""
+    disks = [
+        DiskDevice(env, disk_spec, name=f"{disk_spec.name}{label}-{spindle}")
+        for spindle in range(stripes)
+    ]
+    base: Storage = StripeSet(env, disks) if stripes > 1 else disks[0]
+    if not presto_bytes:
+        return disks, base, base
+    from repro.nvram.presto import PrestoCache
+
+    return disks, base, PrestoCache(env, base, capacity=presto_bytes)
+
+
+@dataclass
+class TestbedConfig(NodeConfig):
+    """A full single-server experiment configuration."""
+
+    #: Server UDP socket buffer (bytes); None = the ServerConfig default
+    #: (the paper's .25M DEC OSF/1 maximum).  The overload experiment
+    #: shrinks this to model period-realistic receive buffers.
+    sockbuf_bytes: Optional[int] = None
+    #: Server admission control (repro.overload): cap on queued requests.
+    #: None = no admission queue (shed only by silent byte overflow).
+    admission_max_requests: Optional[int] = None
+    #: Shed policy when the admission cap is hit: "drop-newest",
+    #: "drop-oldest", or "early-reply".
+    shed_policy: str = "drop-newest"
 
 
 class Testbed:
@@ -114,39 +188,16 @@ class Testbed:
             loss_rate=config.loss_rate,
             seed=config.seed if config.net_seed is None else config.net_seed,
         )
-        self.disks: List[DiskDevice] = [
-            DiskDevice(self.env, config.disk_spec, name=f"{config.disk_spec.name}-{i}")
-            for i in range(config.stripes)
-        ]
-        base: Storage
-        if config.stripes > 1:
-            base = StripeSet(self.env, self.disks)
-        else:
-            base = self.disks[0]
-        self.base_storage = base
-        if config.presto_bytes:
-            from repro.nvram.presto import PrestoCache
-
-            self.storage: Storage = PrestoCache(
-                self.env, base, capacity=config.presto_bytes
-            )
-        else:
-            self.storage = base
-        server_kwargs = {}
+        self.disks, self.base_storage, self.storage = build_storage(
+            self.env, config.disk_spec, config.stripes, config.presto_bytes
+        )
+        extra = {}
         if config.sockbuf_bytes is not None:
-            server_kwargs["socket_buffer_bytes"] = config.sockbuf_bytes
-        if config.unstable_limit_bytes is not None:
-            server_kwargs["unstable_limit_bytes"] = config.unstable_limit_bytes
-        server_config = ServerConfig(
-            nfsds=config.nfsds,
-            write_path=config.write_path,
-            gather_policy=config.gather_policy,
-            verify_stable=config.verify_stable,
-            cpu_scale=config.cpu_scale,
+            extra["socket_buffer_bytes"] = config.sockbuf_bytes
+        server_config = config.server_config(
             admission_max_requests=config.admission_max_requests,
             shed_policy=config.shed_policy,
-            lease_ttl=config.lease_ttl,
-            **server_kwargs,
+            **extra,
         )
         self.server = NfsServer(self.env, self.segment, self.storage, config=server_config)
         self.clients: List[NfsClient] = []
@@ -170,31 +221,9 @@ class Testbed:
         """
         endpoint = self.segment.attach(host or self.segment.unique_host("client"))
         rpc = RpcClient(self.env, endpoint, self.server.host, policy=policy)
-        effective_nbiods = self.config.nbiods if nbiods is None else nbiods
-        # The async-commit path needs NFSv3 clients (unstable WRITE +
-        # COMMIT) with a write window for COMMIT pressure; the window
-        # starts at the biod depth so a clean wire keeps full write-behind.
-        is_async = self.config.write_path == WritePath.ASYNC_COMMIT
-        if is_async and write_window is None:
-            from repro.overload.window import WriteWindow
-
-            write_window = WriteWindow(initial=max(1, effective_nbiods))
-        client = NfsClient(
-            self.env,
-            rpc,
-            nbiods=effective_nbiods,
-            write_cpu=self.config.client_write_cpu,
-            nfs_version=3 if is_async else 2,
-            write_window=write_window,
+        client = self.config.new_client(
+            self.env, rpc, nbiods=nbiods, write_window=write_window
         )
-        if self.server.leases is not None:
-            # A leased server recalls conflicting holders and waits up to
-            # one TTL for each; a client with no callback handler would
-            # stall every conflicting writer that long.  So attaching the
-            # cache stack (which registers rpc.on_call) is not optional.
-            from repro.nfs.cache import CacheStack
-
-            CacheStack(self.env, client)
         self.clients.append(client)
         return client
 

@@ -17,7 +17,7 @@ no matter when the crash lands or how the network mangles the traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Tuple, Union
 
 __all__ = [
     "AtTime",

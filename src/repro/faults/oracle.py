@@ -301,12 +301,6 @@ class Oracle:
             parts.append(f"last_fault={kind}{at}")
         return f" [{', '.join(parts)}]" if parts else ""
 
-    def pending_byte_total(self) -> int:
-        """Bytes acked unstable and not yet promoted by a COMMIT."""
-        return sum(
-            length for ranges in self._pending.values() for _offset, length in ranges
-        )
-
     def _acked_runs(self, ino: int) -> List[Tuple[int, int]]:
         """Maximal contiguous byte ranges of ``ino`` covered by acks."""
         return self._acked[ino].acked_runs()

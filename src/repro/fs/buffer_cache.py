@@ -403,9 +403,5 @@ class BufferCache:
         self._buffers.clear()
         self._in_flight.clear()
 
-    def in_flight_events(self) -> List[Event]:
-        """Completion events for all flushes currently in flight."""
-        return [event for event, _start in self._in_flight.values()]
-
     def dirty_addrs(self) -> List[int]:
         return [addr for addr, buffer in self._buffers.items() if buffer.dirty]

@@ -228,7 +228,9 @@ def _shared_worker(env, client, shared, sharing, ops, think, rng, errors):
         errors.append(f"{host}: close {exc}")
 
 
-def _drive_shared(env, clients, config: CacheConfig, sharing: float, errors, ops=None):
+def _drive_shared(
+    env, clients, config: CacheConfig, sharing: float, think: float, errors, ops=None
+):
     """Setup then run one worker per client; returns when all finish."""
     setup = env.process(
         _setup_shared(env, clients[0], config.shared_files), name="cache-setup"
@@ -243,7 +245,7 @@ def _drive_shared(env, clients, config: CacheConfig, sharing: float, errors, ops
                 shared,
                 sharing,
                 config.ops_per_client if ops is None else ops,
-                config.think_time,
+                think,
                 random.Random(config.seed * 7919 + index),
                 errors,
             ),
@@ -265,7 +267,9 @@ def _run_shared_arm(config: CacheConfig, ttl: Optional[float], sharing: float) -
         oracle = StalenessOracle(testbed.env)
         oracle.attach_testbed(testbed)
     errors: List[str] = []
-    _drive_shared(testbed.env, testbed.clients, config, sharing, errors)
+    _drive_shared(
+        testbed.env, testbed.clients, config, sharing, config.think_time, errors
+    )
     managers = [testbed.server.leases]
     record = _arm_record(testbed.clients, managers, oracle, errors)
     record["stable_violations"] = len(testbed.server.stable_violations)
@@ -291,26 +295,18 @@ def _profile_copy(config: CacheConfig, ttl: Optional[float]) -> dict:
 
 def _profile_laddis(config: CacheConfig, ttl: Optional[float]) -> dict:
     """A compact SFS mix point (lookup/getattr-heavy, 15% writes)."""
-    from repro.nfs.cache import CacheStack
     from repro.workload.laddis import LaddisGenerator
 
     testbed = Testbed(config.testbed_config(ttl))
     env = testbed.env
     generator = LaddisGenerator(
-        env,
-        testbed.segment,
-        server_host=testbed.server.host,
+        testbed,
         clients=2,
         procs_per_client=2,
         file_count=8,
         file_blocks=2,
         seed=config.seed + 12345,
     )
-    if ttl is not None:
-        # The generator builds bare clients; a leased server requires the
-        # recall handler, so give each one the full cache stack.
-        for client in generator.clients:
-            CacheStack(env, client)
     setup = env.process(generator.setup(), name="cache-laddis-setup")
     env.run(until=setup)
     point = env.process(
@@ -336,7 +332,9 @@ def _profile_cluster(config: CacheConfig, ttl: Optional[float]) -> dict:
         oracle = StalenessOracle(cluster.env)
         oracle.attach_cluster(cluster)
     errors: List[str] = []
-    _drive_shared(cluster.env, cluster.clients, config, 0.5, errors, ops=20)
+    _drive_shared(
+        cluster.env, cluster.clients, config, 0.5, config.think_time, errors, ops=20
+    )
     managers = [server.leases for server in cluster.servers]
     record = _arm_record(cluster.clients, managers, oracle, errors)
     record["stable_violations"] = cluster.stable_violations_total()
@@ -351,12 +349,7 @@ def _profile_overload(config: CacheConfig, ttl: Optional[float]) -> dict:
     for _ in range(config.clients):
         testbed.add_client()
     errors: List[str] = []
-    saved = config.think_time
-    try:
-        config.think_time = 0.0005
-        _drive_shared(testbed.env, testbed.clients, config, 0.1, errors, ops=20)
-    finally:
-        config.think_time = saved
+    _drive_shared(testbed.env, testbed.clients, config, 0.1, 0.0005, errors, ops=20)
     record = _arm_record(testbed.clients, [testbed.server.leases], None, errors)
     record["stable_violations"] = len(testbed.server.stable_violations)
     return record

@@ -126,14 +126,6 @@ class LeaseManager:
         lease = self._holders.get(fhandle, {}).get(client)
         return lease is not None and lease.expires_at > self.env.now
 
-    def holder_count(self, fhandle: tuple) -> int:
-        now = self.env.now
-        return sum(
-            1
-            for lease in self._holders.get(fhandle, {}).values()
-            if lease.expires_at > now
-        )
-
     # -- granting ----------------------------------------------------------------
 
     def _grant(self, fhandle: tuple, mode: str, client: str) -> LeaseGrant:

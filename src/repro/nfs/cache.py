@@ -23,7 +23,7 @@ and ``open`` revalidates attributes unless lease-covered (close-to-open).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.lease.manager import LEASE_READ, LEASE_WRITE
 from repro.nfs.protocol import PROC_LEASE_RENEW, RenewArgs

@@ -508,10 +508,6 @@ class Environment:
         """Start a new process running ``generator``."""
         return Process(self, generator, name=name)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event that fires when all of ``events`` have fired."""
-        return AllOf(self, events)
-
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Event that fires when any of ``events`` has fired."""
         return AnyOf(self, events)

@@ -66,10 +66,6 @@ class Tally:
     def variance(self) -> float:
         return self._m2 / self.count if self.count else 0.0
 
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
     def percentile(self, fraction: float) -> float:
         """Sample percentile (nearest-rank).  Requires ``keep_samples``."""
         if self._samples is None:

@@ -45,8 +45,8 @@ survives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.fs.inode import FileType
 from repro.fs.ufs import ROOT_INO, FsError

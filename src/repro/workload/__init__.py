@@ -9,7 +9,6 @@ _LAZY = {
     "patterned_chunk": "repro.workload.sequential",
     "write_random": "repro.workload.random_access",
     "run_timesharing": "repro.workload.timesharing",
-    "make_dumb_pc": "repro.workload.dumbpc",
     "DUMB_PC_THINK_TIME": "repro.workload.dumbpc",
     "FAST_CLIENT_THINK_TIME": "repro.workload.dumbpc",
     "LaddisGenerator": "repro.workload.laddis",

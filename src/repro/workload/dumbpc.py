@@ -7,27 +7,15 @@ the paper says — "by killing all biods": an NfsClient with ``nbiods=0``
 whose every write blocks the application.  ``think_time`` distinguishes a
 "reasonably quick" single-threaded client from a truly slow PC, for whom
 the paper predicts the loss fades into insignificance.
+
+A dumb PC is ``testbed.add_client(nbiods=0, host="pc")``.
 """
 
 from __future__ import annotations
 
-from repro.net.segment import Segment
-from repro.nfs.client import NfsClient
-from repro.rpc.client import RpcClient
-from repro.sim import Environment
-
-__all__ = ["make_dumb_pc", "DUMB_PC_THINK_TIME", "FAST_CLIENT_THINK_TIME"]
+__all__ = ["DUMB_PC_THINK_TIME", "FAST_CLIENT_THINK_TIME"]
 
 #: A quick single-threaded client (the paper's 15%-loss case).
 FAST_CLIENT_THINK_TIME = 0.0005
 #: A genuinely slow PC: per-8K production time dominates everything.
 DUMB_PC_THINK_TIME = 0.020
-
-
-def make_dumb_pc(
-    env: Environment, segment: Segment, server_host: str, host: str = "pc"
-) -> NfsClient:
-    """Attach a biod-less client to ``segment``."""
-    endpoint = segment.attach(host)
-    rpc = RpcClient(env, endpoint, server_host)
-    return NfsClient(env, rpc, nbiods=0)

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List
+from typing import TYPE_CHECKING, Dict, Generator, List
 
-from repro.net.segment import Segment
 from repro.nfs.client import NfsClient, OpenFile
 from repro.nfs.protocol import (
     PROC_CREATE,
@@ -35,8 +34,10 @@ from repro.nfs.protocol import (
     PROC_WRITE,
     NfsError,
 )
-from repro.rpc.client import RpcClient
-from repro.sim import Environment, Tally
+from repro.sim import Tally
+
+if TYPE_CHECKING:
+    from repro.experiments.testbed import Testbed
 
 __all__ = ["SFS_MIX", "LaddisResult", "LaddisGenerator"]
 
@@ -75,22 +76,19 @@ class LaddisResult:
     per_op_latency_ms: Dict[str, float] = field(default_factory=dict)
     op_counts: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def within_sfs_bound(self) -> bool:
-        return self.avg_latency_ms <= SFS_LATENCY_BOUND_MS
-
 
 class LaddisGenerator:
-    """Drives one server with the SFS mix from several client hosts."""
+    """Drives one server with the SFS mix from several client hosts.
+
+    The client hosts (``laddis-client-0``, ...) are attached to
+    ``testbed``, so they follow the testbed's client rules.
+    """
 
     def __init__(
         self,
-        env: Environment,
-        segment: Segment,
-        server_host: str = "server",
+        testbed: "Testbed",
         clients: int = 5,
         procs_per_client: int = 4,
-        nbiods: int = 4,
         file_count: int = 48,
         file_blocks: int = 8,
         record_size: int = 8192,
@@ -103,19 +101,16 @@ class LaddisGenerator:
         total = sum(weight for _op, weight in self.mix)
         if not 0.99 <= total <= 1.01:
             raise ValueError(f"operation mix must sum to 1, got {total}")
-        self.env = env
-        self.segment = segment
-        self.server_host = server_host
+        self.env = testbed.env
         self.procs_per_client = procs_per_client
         self.file_count = file_count
         self.file_blocks = file_blocks
         self.record_size = record_size
         self.rng = random.Random(seed)
-        self.clients: List[NfsClient] = []
-        for index in range(clients):
-            endpoint = segment.attach(f"laddis-client-{index}")
-            rpc = RpcClient(env, endpoint, server_host)
-            self.clients.append(NfsClient(env, rpc, nbiods=nbiods))
+        self.clients: List[NfsClient] = [
+            testbed.add_client(host=f"laddis-client-{index}")
+            for index in range(clients)
+        ]
         self._files: List[str] = []
         self._handles: Dict[str, OpenFile] = {}
         self._symlinks: List[tuple] = []

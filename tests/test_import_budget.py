@@ -38,6 +38,10 @@ NEVER = {
     "repro.experiments.sweep",
     "repro.experiments.trace",
     "repro.experiments.results",
+    "repro.experiments.filecopy",
+    "repro.metrics.collect",
+    "repro.metrics.report",
+    "repro.workload.sequential",
     "repro.workload.dumbpc",
     "repro.workload.random_access",
     "repro.workload.timesharing",

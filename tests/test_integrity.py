@@ -17,7 +17,6 @@ from repro.faults import (
     BitRot,
     FaultController,
     FaultPlan,
-    LatentSectorError,
     NetworkPartition,
     OnSpan,
     Oracle,
@@ -26,7 +25,6 @@ from repro.faults import (
 )
 from repro.fs.buffer_cache import DurableImage
 from repro.fs.fsck import fsck
-from repro.fs.ufs import FsError
 from repro.integrity import CorruptBlockError, block_digest
 from repro.integrity.experiment import ScrubConfig, run_scrub, run_scrub_arm
 from repro.net import FDDI

@@ -8,7 +8,6 @@ from repro.workload import (
     DUMB_PC_THINK_TIME,
     SFS_MIX,
     LaddisGenerator,
-    make_dumb_pc,
     patterned_chunk,
     write_file,
     write_random,
@@ -98,7 +97,7 @@ class TestWriteRandom:
 class TestDumbPc:
     def test_has_no_biods(self):
         testbed = Testbed(TestbedConfig(netspec=ETHERNET))
-        pc = make_dumb_pc(testbed.env, testbed.segment, testbed.server.host)
+        pc = testbed.add_client(nbiods=0, host="pc")
         assert pc.nbiods == 0
 
     def test_slow_client_loss_fades(self):
@@ -130,9 +129,7 @@ class TestLaddisGenerator:
             TestbedConfig(netspec=FDDI, write_path=write_path, stripes=4, nfsds=16)
         )
         generator = LaddisGenerator(
-            testbed.env,
-            testbed.segment,
-            server_host=testbed.server.host,
+            testbed,
             clients=2,
             procs_per_client=2,
             file_count=8,
@@ -190,4 +187,4 @@ class TestLaddisGenerator:
     def test_invalid_client_counts(self):
         testbed = Testbed(TestbedConfig(netspec=FDDI))
         with pytest.raises(ValueError):
-            LaddisGenerator(testbed.env, testbed.segment, clients=0)
+            LaddisGenerator(testbed, clients=0)
